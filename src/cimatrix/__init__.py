@@ -28,7 +28,6 @@ from .matrix import (
 )
 from .multipoly import MultiPoly, parse_poly, vandermonde_product, variables
 from .scalars import (
-    AxiomReport,
     Rational,
     exact_div,
     ensure_finite,
@@ -36,13 +35,8 @@ from .scalars import (
     float_to_string,
     rational_from_string,
     rational_to_string,
-    ring_axiom_suite,
 )
-from .symfunc import (
-    deflation_consistency_check,
-    elem_sym_all,
-    elem_sym_leave_one_out,
-)
+from .symfunc import elem_sym_all, elem_sym_leave_one_out
 from .verifier import (
     DEFAULT_CAP,
     CheckResult,
@@ -52,7 +46,6 @@ from .verifier import (
     verify_equal_column_vanish,
     verify_first_node_zero_block,
     verify_homogeneity,
-    verify_ladder,
     verify_row_degrees,
     verify_suite,
 )
@@ -60,7 +53,6 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport",
     "CIMatrix",
     "CheckResult",
     "DEFAULT_CAP",
@@ -73,7 +65,6 @@ __all__ = [
     "build_ci_matrix",
     "closed_form_logdet",
     "compare_determinants",
-    "deflation_consistency_check",
     "det_bareiss",
     "det_closed_form",
     "det_cofactor",
@@ -89,7 +80,6 @@ __all__ = [
     "permutation_sign",
     "rational_from_string",
     "rational_to_string",
-    "ring_axiom_suite",
     "symbolic_ci_matrix",
     "vandermonde_duality_residual",
     "vandermonde_product",
@@ -99,7 +89,6 @@ __all__ = [
     "verify_equal_column_vanish",
     "verify_first_node_zero_block",
     "verify_homogeneity",
-    "verify_ladder",
     "verify_row_degrees",
     "verify_suite",
 ]

@@ -44,11 +44,6 @@ SCHEMA = "ci-matrix/1"
 SCALAR_KINDS = ("rational", "float64", "symbolic")
 BENCH_CSV_HEADER = "n,method,wall_time_s,repeats,result_digest"
 
-# Benchmark node distribution: n sorted draws from PCG64 (numpy
-# default_rng seeded with [seed, n]), uniform on [0, 2), plus 0.1*i so
-# consecutive nodes are at least 0.1 apart.
-BENCH_RNG = "pcg64"
-
 
 # ---------------------------------------------------------------------------
 # matrix documents
@@ -100,16 +95,19 @@ class MatrixDocument:
         return MatrixDocument(matrix.n, scalar_kind, mu, entries)
 
     def to_matrix(self) -> CIMatrix:
-        """Parse the document back into scalar objects."""
+        """Parse the document back into a matrix of the same form
+        ``build_ci_matrix`` gives: float64 entries as an array."""
         if self.scalar_kind == "symbolic":
             nodes = variables(self.n)
         else:
             nodes = tuple(parse_scalar(s, self.scalar_kind) for s in self.mu)
-        entries = tuple(
-            tuple(parse_scalar(s, self.scalar_kind, self.n) for s in row)
+        rows = [
+            [parse_scalar(s, self.scalar_kind, self.n) for s in row]
             for row in self.entries
-        )
-        return CIMatrix(self.n, nodes, entries)
+        ]
+        if self.scalar_kind == "float64":
+            return CIMatrix(self.n, nodes, np.array(rows, dtype=float))
+        return CIMatrix(self.n, nodes, tuple(tuple(row) for row in rows))
 
     def to_json(self) -> str:
         payload = {
@@ -179,21 +177,6 @@ class MatrixDocument:
         return "\n".join(lines) + "\n"
 
 
-def reformat_csv(text: str, scalar_kind: str) -> str:
-    """Parse a bare CSV matrix and re-render it canonically."""
-    rows = [line.split(",") for line in text.strip().splitlines()]
-    if not rows:
-        raise ValueError("empty CSV")
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("CSV matrix is not square")
-    rendered = [
-        [render_scalar(parse_scalar(cell.strip(), scalar_kind, n), scalar_kind) for cell in row]
-        for row in rows
-    ]
-    return "\n".join(",".join(row) for row in rendered) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # benchmark
 
@@ -258,7 +241,7 @@ def run_bench(
     mismatches: list[str] = []
     for n in n_list:
         nodes = draw_bench_nodes(n, seed)
-        matrix = np.array(build_ci_matrix(nodes).entries, dtype=float)
+        matrix = build_ci_matrix(nodes)
         closed = closed_form_logdet(nodes)
         closed_time = _median_time(lambda: closed_form_logdet(nodes), repeats)
         lu = lu_logdet(matrix)
@@ -291,13 +274,13 @@ def cmd_gen(args) -> int:
             raise ValueError("--symbolic requires --n")
         if args.n < 1:
             raise ValueError("n must be at least 1")
-        matrix = build_ci_matrix(variables(args.n), mode=args.mode)
+        matrix = build_ci_matrix(variables(args.n))
         kind = "symbolic"
     else:
         nodes = _parse_node_text(args.mu, args.kind)
         if args.n is not None and args.n != len(nodes):
             raise ValueError(f"--n {args.n} does not match {len(nodes)} nodes")
-        matrix = build_ci_matrix(nodes, mode=args.mode)
+        matrix = build_ci_matrix(nodes)
         kind = args.kind
     doc = MatrixDocument.from_matrix(matrix, kind)
     if args.out == "json":
@@ -398,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, help="node count (required with --symbolic)")
     gen.add_argument("--kind", choices=("rational", "float64"), default="rational",
                      help="scalar kind for --mu nodes")
-    gen.add_argument("--mode", choices=("auto", "stable", "deflate"), default="auto",
-                     help="leave-one-out kernel")
     gen.add_argument("--out", choices=("json", "csv", "pretty"), default="pretty")
     gen.set_defaults(handler=cmd_gen)
 

@@ -7,6 +7,11 @@ row is all ones.  Its determinant equals the pairwise-difference product
 prod_{i<j} (xj - xi), which ``det_closed_form`` evaluates in O(n^2)
 without forming the matrix.
 
+``build_ci_matrix`` has one path per scalar domain: exact nodes deflate
+one shared ``elem_sym_all`` table into n columns, float nodes take the
+vectorized ``leave_one_out_table_float`` and keep it as a read-only
+float64 array, with no per-entry Python objects.
+
 Three independent determinant oracles witness that identity:
 
 * ``det_bareiss`` -- fraction-free elimination, exact over int/Fraction;
@@ -33,65 +38,66 @@ from .scalars import (
     one_like,
     zero_like,
 )
-from .symfunc import (
-    elem_sym_all,
-    elem_sym_leave_one_out,
-    leave_one_out_table_float,
-    leave_one_out_table_float_deflate,
-    resolve_mode,
-)
+from .symfunc import elem_sym_all, elem_sym_leave_one_out, leave_one_out_table_float
 
 
 class SizeCapError(ValueError):
     """Raised when an exponential-cost operation exceeds its size cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CIMatrix:
     """A CI-matrix together with the nodes it was built from.
 
     ``entries[h-1][k-1]`` is the (h, k) entry; rows are indexed 1..n top to
-    bottom, columns 1..n, matching the node order.
+    bottom, columns 1..n, matching the node order.  Exact entries are a
+    tuple of row tuples; float entries are an (n, n) float64 ``ndarray``,
+    which the matrix marks read-only when it takes it.
     """
 
     n: int
     nodes: tuple
-    entries: tuple
+    entries: tuple | np.ndarray
+
+    def __post_init__(self) -> None:
+        if isinstance(self.entries, np.ndarray):
+            self.entries.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CIMatrix):
+            return NotImplemented
+        if isinstance(self.entries, np.ndarray) or isinstance(other.entries, np.ndarray):
+            same_entries = bool(np.array_equal(self.entries, other.entries))
+        else:
+            same_entries = self.entries == other.entries
+        return self.n == other.n and self.nodes == other.nodes and same_entries
 
     def entry(self, h: int, k: int):
         return self.entries[h - 1][k - 1]
 
-    def row(self, h: int) -> tuple:
+    def row(self, h: int) -> tuple | np.ndarray:
         return self.entries[h - 1]
 
     def column(self, k: int) -> tuple:
         return tuple(row[k - 1] for row in self.entries)
 
 
-def build_ci_matrix(nodes: Sequence, mode: str = "auto") -> CIMatrix:
+def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     """Construct the CI-matrix of the given nodes.
 
-    Exact scalars default to the deflation build (O(n^2) ring operations
-    total); floats default to the stable per-column recurrence.
+    Exact scalars deflate one shared full table (O(n^2) ring operations
+    total); floats recompute every column stably, all columns at once.
     """
     n = len(nodes)
     if n == 0:
         raise ValueError("node list must not be empty")
     if isinstance(nodes[0], float):
-        concrete = resolve_mode(nodes, mode)
-        if concrete == "stable":
-            table = leave_one_out_table_float(nodes)
-        else:
-            table = leave_one_out_table_float_deflate(nodes)
-        entries = tuple(
-            tuple(float(table[n - h, k]) for k in range(n)) for h in range(1, n + 1)
-        )
-        return CIMatrix(n, tuple(float(x) for x in nodes), entries)
-    concrete = resolve_mode(nodes, mode)
-    full = elem_sym_all(nodes) if concrete == "deflate" else None
+        table = leave_one_out_table_float(nodes)
+        # Row h holds e_{n-h}: the table's rows, bottom to top.
+        return CIMatrix(n, tuple(float(x) for x in nodes), table[::-1])
+    full = elem_sym_all(nodes)
     columns = [
-        elem_sym_leave_one_out(nodes, k, mode=concrete, full_table=full)
-        for k in range(1, n + 1)
+        elem_sym_leave_one_out(nodes, k, full_table=full) for k in range(1, n + 1)
     ]
     entries = tuple(
         tuple(columns[k][n - h] for k in range(n)) for h in range(1, n + 1)
@@ -164,6 +170,7 @@ def det_bareiss(matrix):
 
 def _float_matrix(matrix) -> np.ndarray:
     rows = matrix.entries if isinstance(matrix, CIMatrix) else matrix
+    # Always a fresh array: _lu_pivots eliminates in place.
     a = np.array(rows, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError("matrix is not square")

@@ -237,18 +237,6 @@ class MultiPoly:
                 out.pop(merged, None)
         return MultiPoly(self.nvars, out)
 
-    def swap_variables(self, i: int, j: int) -> "MultiPoly":
-        """Exchange u<i> and u<j> (1-based)."""
-        for index in (i, j):
-            if not 1 <= index <= self.nvars:
-                raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
-        out: dict[Monomial, Fraction] = {}
-        for monomial, coeff in self.terms.items():
-            swapped = list(monomial)
-            swapped[i - 1], swapped[j - 1] = swapped[j - 1], swapped[i - 1]
-            out[tuple(swapped)] = coeff
-        return MultiPoly(self.nvars, out)
-
     def evaluate(self, point: Sequence):
         """Exact value at ``point`` (one scalar per variable)."""
         if len(point) != self.nvars:

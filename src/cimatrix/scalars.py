@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
 
 # Exact rational scalar.  Fraction already maintains the invariants this
 # package relies on (denominator > 0, fully reduced, int-backed).
@@ -160,49 +157,3 @@ def exact_div(a, b):
     raise TypeError(
         f"exact division is not defined for {type(a).__name__} / {type(b).__name__}"
     )
-
-
-@dataclass
-class AxiomReport:
-    """Outcome of the randomized ring-axiom check."""
-
-    samples_checked: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def ring_axiom_suite(samples: Sequence) -> AxiomReport:
-    """Check commutativity, associativity, distributivity and the identities
-    on every triple drawn from ``samples``.
-
-    Violations are collected, not raised; equality is the scalar's own ``==``
-    (so for floats this is only meaningful on samples whose sums and products
-    are exactly representable).
-    """
-    samples = list(samples)
-    if len(samples) < 3:
-        raise ValueError("need at least 3 samples")
-    report = AxiomReport(samples_checked=len(samples))
-    zero = zero_like(samples[0])
-    one = one_like(samples[0])
-    for a in samples:
-        if not (a + zero == a and a * one == a):
-            report.failures.append(f"identity laws fail at {a!r}")
-        if not (a + (-a) == zero):
-            report.failures.append(f"additive inverse fails at {a!r}")
-    for a, b in product(samples, repeat=2):
-        if not (a + b == b + a):
-            report.failures.append(f"addition not commutative at ({a!r}, {b!r})")
-        if not (a * b == b * a):
-            report.failures.append(f"multiplication not commutative at ({a!r}, {b!r})")
-    for a, b, c in product(samples, repeat=3):
-        if not ((a + b) + c == a + (b + c)):
-            report.failures.append(f"addition not associative at ({a!r}, {b!r}, {c!r})")
-        if not ((a * b) * c == a * (b * c)):
-            report.failures.append(f"multiplication not associative at ({a!r}, {b!r}, {c!r})")
-        if not (a * (b + c) == a * b + a * c):
-            report.failures.append(f"distributivity fails at ({a!r}, {b!r}, {c!r})")
-    return report

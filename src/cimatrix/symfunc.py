@@ -2,19 +2,21 @@
 
 Given nodes (x1, ..., xn), e_m denotes the m-th elementary symmetric
 polynomial: the sum of all products of m distinct nodes, with e_0 = 1.
-Two kernels are provided:
+``elem_sym_all`` evaluates the full set via the one-pass insertion
+recurrence (O(n^2) ring operations).  Each scalar domain then has one
+leave-one-out kernel:
 
-* full-set evaluation ``elem_sym_all`` via the one-pass insertion
-  recurrence (O(n^2) ring operations), and
-* leave-one-out evaluation ``elem_sym_leave_one_out``, either by
-  recomputing on the reduced node set (``stable``) or by the synthetic
-  division recurrence e_m(without k) = e_m(all) - x_k * e_{m-1}(without k)
-  (``deflate``, O(n) per node given the full table).
+* exact scalars (int, Fraction, MultiPoly) deflate: ``elem_sym_leave_one_out``
+  runs the synthetic division recurrence
+  e_m(without k) = e_m(all) - x_k * e_{m-1}(without k), O(n) per node given
+  the full table, with no rounding to fear;
+* floats recompute on the reduced node set, because deflation subtracts
+  nearly equal quantities.  ``leave_one_out_table_float`` does this for
+  every node at once with numpy and backs the float matrix builder;
+  ``elem_sym_leave_one_out`` on floats is the same recurrence one column at
+  a time, bit for bit.
 
 Node indices are 1-based throughout the public interface.
-
-Everything is generic over exact scalars (int, Fraction, MultiPoly); a
-vectorized float path backs the numeric matrix builder.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import abs_value, is_exact, one_like, zero_like
-
-Mode = str  # "auto" | "stable" | "deflate"
+from .scalars import is_exact, one_like, zero_like
 
 
 def _check_nodes(nodes: Sequence) -> int:
@@ -33,11 +33,6 @@ def _check_nodes(nodes: Sequence) -> int:
     if n == 0:
         raise ValueError("node list must not be empty")
     return n
-
-
-def _check_index(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"node index {k} out of range 1..{n}")
 
 
 def elem_sym_all(nodes: Sequence) -> list:
@@ -52,31 +47,21 @@ def elem_sym_all(nodes: Sequence) -> list:
     return e
 
 
-def resolve_mode(nodes: Sequence, mode: Mode) -> str:
-    """Pick the concrete kernel: exact scalars deflate for free, floats
-    recompute stably (deflation subtracts nearly equal quantities)."""
-    if mode in ("stable", "deflate"):
-        return mode
-    if mode == "auto":
-        return "deflate" if is_exact(nodes[0]) else "stable"
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def elem_sym_leave_one_out(
     nodes: Sequence,
     k: int,
-    mode: Mode = "auto",
     full_table: Sequence | None = None,
 ) -> list:
     """[e_0, ..., e_{n-1}] of the nodes with node k (1-based) removed.
 
     ``full_table`` lets callers share one ``elem_sym_all`` result across all
     n deflated columns, which is what makes a whole-matrix build O(n^2).
+    Float nodes ignore it and recompute.
     """
     n = _check_nodes(nodes)
-    _check_index(k, n)
-    concrete = resolve_mode(nodes, mode)
-    if concrete == "stable":
+    if not 1 <= k <= n:
+        raise ValueError(f"node index {k} out of range 1..{n}")
+    if not is_exact(nodes[0]):
         remaining = list(nodes[: k - 1]) + list(nodes[k:])
         if not remaining:
             return [one_like(nodes[0])]
@@ -90,40 +75,15 @@ def elem_sym_leave_one_out(
     return out
 
 
-def deflation_consistency_check(nodes: Sequence, k: int):
-    """Largest residual of e_m(all) = e_m(without k) + x_k * e_{m-1}(without k).
-
-    The leave-one-out side is recomputed in ``stable`` mode so the identity
-    is a genuine cross-check rather than a restatement of the deflation
-    recurrence.  Exactly zero over exact scalars; for ordered scalars the
-    maximum absolute residual is returned, for polynomials the first nonzero
-    residual (or the zero polynomial).
-    """
-    n = _check_nodes(nodes)
-    _check_index(k, n)
-    full = elem_sym_all(nodes)
-    loo = elem_sym_leave_one_out(nodes, k, mode="stable")
-    x = nodes[k - 1]
-    zero = zero_like(nodes[0])
-    residuals = []
-    for m in range(1, n + 1):
-        without = loo[m] if m < n else zero  # e_n of an (n-1)-node set is 0
-        residuals.append(full[m] - (without + x * loo[m - 1]))
-    try:
-        return max(abs_value(r) for r in residuals)
-    except TypeError:
-        for r in residuals:
-            if not (r == zero):
-                return r
-        return zero
-
-
 def leave_one_out_table_float(nodes: Sequence[float]) -> np.ndarray:
-    """Vectorized stable leave-one-out table for float nodes.
+    """Leave-one-out table for float nodes.
 
     Returns an (n, n) array T with T[m, k-1] = e_m of the nodes without
-    node k; every column is the insertion recurrence run over its own n-1
-    nodes, all columns advanced in lockstep.
+    node k.  Every column runs the insertion recurrence over its own n-1
+    nodes: inserting node i advances all columns in one slice update, then
+    column i, which must not see node i, gets its old values back.  Column
+    k-1 is bit for bit ``elem_sym_leave_one_out(nodes, k)``: both apply the
+    same recurrence to the same values in the same order.
     """
     x = np.asarray(nodes, dtype=float)
     n = x.shape[0]
@@ -133,26 +93,9 @@ def leave_one_out_table_float(nodes: Sequence[float]) -> np.ndarray:
         raise ValueError("non-finite float node")
     table = np.zeros((n, n))
     table[0, :] = 1.0
-    columns = np.arange(n)
     for i in range(n):
-        mask = columns != i
         top = min(i + 1, n - 1)
-        for m in range(top, 0, -1):
-            table[m, mask] += x[i] * table[m - 1, mask]
-    return table
-
-
-def leave_one_out_table_float_deflate(nodes: Sequence[float]) -> np.ndarray:
-    """Deflation-mode counterpart of :func:`leave_one_out_table_float`."""
-    x = np.asarray(nodes, dtype=float)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("node list must not be empty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite float node")
-    full = elem_sym_all([float(v) for v in x])
-    table = np.zeros((n, n))
-    table[0, :] = 1.0
-    for m in range(1, n):
-        table[m, :] = full[m] - x * table[m - 1, :]
+        skipped = table[: top + 1, i].copy()
+        table[1 : top + 1] += x[i] * table[:top]
+        table[: top + 1, i] = skipped
     return table

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .matrix import (
+    CIMatrix,
     SizeCapError,
     build_ci_matrix,
     det_closed_form,
@@ -79,10 +80,17 @@ def _check_cap(n: int, cap: int, minimum: int = 1) -> None:
 
 
 @lru_cache(maxsize=32)
+def _symbolic_matrix(n: int) -> CIMatrix:
+    # Built once per size and shared by every check: the equal-column
+    # checks alone would otherwise rebuild it n(n-1)/2 times.
+    return symbolic_ci_matrix(n)
+
+
+@lru_cache(maxsize=32)
 def _symbolic_det(n: int) -> MultiPoly:
     # Shared across all checks at one size; the expansion is the expensive
     # part (n! terms), every check after it is linear in the term count.
-    return det_cofactor(symbolic_ci_matrix(n), size_cap=n)
+    return det_cofactor(_symbolic_matrix(n), size_cap=n)
 
 
 def verify_homogeneity(n: int, cap: int = DEFAULT_CAP) -> CheckResult:
@@ -100,7 +108,7 @@ def verify_homogeneity(n: int, cap: int = DEFAULT_CAP) -> CheckResult:
 def verify_row_degrees(n: int, cap: int = DEFAULT_CAP) -> CheckResult:
     """Every entry of row h is homogeneous of total degree n-h."""
     _check_cap(n, cap)
-    matrix = symbolic_ci_matrix(n)
+    matrix = _symbolic_matrix(n)
     bad: list[str] = []
     for h in range(1, n + 1):
         expected = {n - h}
@@ -120,7 +128,7 @@ def verify_equal_column_vanish(
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i} j={j} n={n}")
     det_after = _symbolic_det(n).identify_variables(i, j)
-    matrix = symbolic_ci_matrix(n)
+    matrix = _symbolic_matrix(n)
     column_i = [entry.identify_variables(i, j) for entry in matrix.column(i)]
     column_j = [entry.identify_variables(i, j) for entry in matrix.column(j)]
     det_ok = det_after.is_zero
@@ -164,7 +172,7 @@ def verify_first_node_zero_block(size: int, cap: int = DEFAULT_CAP) -> CheckResu
     nodes.
     """
     _check_cap(size, cap, minimum=2)
-    matrix = symbolic_ci_matrix(size)
+    matrix = _symbolic_matrix(size)
     substituted = [
         [entry.substitute(1, 0) for entry in row] for row in matrix.entries
     ]
@@ -206,25 +214,11 @@ def verify_duality_probe(n: int) -> CheckResult:
     return CheckResult("duality", passed, witness)
 
 
-def verify_ladder(max_n: int, cap: int = DEFAULT_CAP) -> list[VerificationReport]:
-    """The determinant identity at every size 1..max_n, plus the first-node
-    block factorization that reduces each size to the previous one."""
-    _check_cap(max_n, cap)
-    reports = []
-    for n in range(1, max_n + 1):
-        report = VerificationReport(n=n)
-        identity, constant = verify_determinant_identity(n, cap)
-        report.checks.append(identity)
-        report.extracted_constant = constant
-        if n >= 2:
-            report.checks.append(verify_first_node_zero_block(n, cap))
-        reports.append(report)
-    return reports
-
-
 def verify_suite(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
-    """Everything checkable at one size: the ladder rung plus homogeneity,
-    row degrees, all equal-node identifications, and the duality probe."""
+    """Everything checkable at one size: the determinant identity and the
+    first-node block factorization that reduces it to the previous size,
+    plus homogeneity, row degrees, all equal-node identifications, and the
+    duality probe."""
     _check_cap(n, cap)
     report = VerificationReport(n=n)
     identity, constant = verify_determinant_identity(n, cap)

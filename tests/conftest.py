@@ -8,6 +8,10 @@ symbolic nodes u1..u4 with uk removed.
 
 import random
 from fractions import Fraction
+from itertools import product
+
+from cimatrix.scalars import one_like, zero_like
+from cimatrix.symfunc import elem_sym_all
 
 GOLDEN_N4_ENTRIES = [
     ["u2*u3*u4", "u1*u3*u4", "u1*u2*u4", "u1*u2*u3"],
@@ -41,3 +45,45 @@ def random_distinct_fractions(rng: random.Random, n: int) -> list[Fraction]:
     out = list(values)
     rng.shuffle(out)
     return out
+
+
+def recomputed_leave_one_out(nodes, k: int) -> list:
+    """[e_0, ..., e_{n-1}] of the nodes without node k (1-based), recomputed
+    from scratch on the reduced list: the reference for the deflation build."""
+    remaining = list(nodes[: k - 1]) + list(nodes[k:])
+    if not remaining:
+        return [one_like(nodes[0])]
+    return elem_sym_all(remaining)[: len(nodes)]
+
+
+def ring_axiom_failures(samples) -> list[str]:
+    """Check commutativity, associativity, distributivity and the identities
+    on every triple drawn from ``samples``; return the violations.
+
+    Equality is the scalar's own ``==`` (so for floats this is only
+    meaningful on samples whose sums and products are exactly representable).
+    """
+    samples = list(samples)
+    if len(samples) < 3:
+        raise ValueError("need at least 3 samples")
+    failures = []
+    zero = zero_like(samples[0])
+    one = one_like(samples[0])
+    for a in samples:
+        if not (a + zero == a and a * one == a):
+            failures.append(f"identity laws fail at {a!r}")
+        if not (a + (-a) == zero):
+            failures.append(f"additive inverse fails at {a!r}")
+    for a, b in product(samples, repeat=2):
+        if not (a + b == b + a):
+            failures.append(f"addition not commutative at ({a!r}, {b!r})")
+        if not (a * b == b * a):
+            failures.append(f"multiplication not commutative at ({a!r}, {b!r})")
+    for a, b, c in product(samples, repeat=3):
+        if not ((a + b) + c == a + (b + c)):
+            failures.append(f"addition not associative at ({a!r}, {b!r}, {c!r})")
+        if not ((a * b) * c == a * (b * c)):
+            failures.append(f"multiplication not associative at ({a!r}, {b!r}, {c!r})")
+        if not (a * (b + c) == a * b + a * c):
+            failures.append(f"distributivity fails at ({a!r}, {b!r}, {c!r})")
+    return failures

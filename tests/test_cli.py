@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import GOLDEN_N4_ENTRIES, pretty_layout
@@ -9,10 +10,9 @@ from cimatrix.cli import (
     MatrixDocument,
     draw_bench_nodes,
     main,
-    reformat_csv,
     run_bench,
 )
-from cimatrix.matrix import build_ci_matrix, symbolic_ci_matrix
+from cimatrix.matrix import CIMatrix, build_ci_matrix, symbolic_ci_matrix
 
 
 def run_cli(capsys, *argv):
@@ -226,9 +226,17 @@ def test_document_round_trips_rational_and_float():
         doc = MatrixDocument.from_matrix(build_ci_matrix(nodes), kind)
         text = doc.to_json()
         assert MatrixDocument.from_json(text).to_json() == text
-        csv = doc.to_csv()
-        assert reformat_csv(csv, kind) == csv
         assert doc.to_matrix() == build_ci_matrix(nodes)
+
+
+def test_float_document_round_trip_equality_is_exact():
+    built = build_ci_matrix(draw_bench_nodes(12, 5))
+    parsed = MatrixDocument.from_json(MatrixDocument.from_matrix(built, "float64").to_json()).to_matrix()
+    assert parsed == built
+    assert not parsed.entries.flags.writeable
+    nudged = np.array(built.entries)
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
+    assert CIMatrix(built.n, built.nodes, nudged) != built
 
 
 def test_document_symbolic_round_trip():

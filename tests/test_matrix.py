@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_N4_ENTRIES, random_distinct_fractions
+from conftest import GOLDEN_N4_ENTRIES, random_distinct_fractions, recomputed_leave_one_out
 from cimatrix.matrix import (
     SizeCapError,
     build_ci_matrix,
@@ -55,9 +55,9 @@ def test_build_rejects_empty():
 def test_build_modes_agree_over_rationals():
     rng = random.Random(17)
     nodes = random_distinct_fractions(rng, 7)
-    stable = build_ci_matrix(nodes, mode="stable")
-    deflate = build_ci_matrix(nodes, mode="deflate")
-    assert stable == deflate
+    m = build_ci_matrix(nodes)
+    for k in range(1, 8):
+        assert list(m.column(k)) == recomputed_leave_one_out(nodes, k)[::-1]
 
 
 def test_build_float_path_matches_exact():
@@ -67,6 +67,16 @@ def test_build_float_path_matches_exact():
     for h in range(1, 5):
         for k in range(1, 5):
             assert m.entry(h, k) == pytest.approx(float(exact.entry(h, k)), rel=1e-12)
+
+
+def test_float_matrix_is_read_only_and_lu_leaves_it_unchanged():
+    m = build_ci_matrix([0.5, 1.25, 2.0, 4.5])
+    before = np.array(m.entries)
+    lu_logdet(m)
+    det_lu(m)
+    assert np.array_equal(m.entries, before)
+    with pytest.raises(ValueError):
+        m.entries[0, 0] = 1.0
 
 
 def test_repeated_nodes_give_identical_columns():

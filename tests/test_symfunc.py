@@ -4,14 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_distinct_fractions
-from cimatrix.multipoly import MultiPoly, variables
+from conftest import random_distinct_fractions, recomputed_leave_one_out
+from cimatrix.cli import draw_bench_nodes
+from cimatrix.multipoly import variables
 from cimatrix.symfunc import (
-    deflation_consistency_check,
     elem_sym_all,
     elem_sym_leave_one_out,
     leave_one_out_table_float,
-    leave_one_out_table_float_deflate,
 )
 
 
@@ -52,8 +51,6 @@ def test_leave_one_out_index_and_mode_validation():
         elem_sym_leave_one_out([1, 2], 3)
     with pytest.raises(ValueError):
         elem_sym_leave_one_out([1, 2], 0)
-    with pytest.raises(ValueError):
-        elem_sym_leave_one_out([1, 2], 1, mode="fast")
 
 
 def test_generating_function_identity():
@@ -75,18 +72,14 @@ def test_modes_agree_exactly_over_rationals():
     for n in range(1, 11):
         nodes = random_distinct_fractions(rng, n)
         for k in range(1, n + 1):
-            stable = elem_sym_leave_one_out(nodes, k, mode="stable")
-            deflate = elem_sym_leave_one_out(nodes, k, mode="deflate")
-            assert stable == deflate
+            assert elem_sym_leave_one_out(nodes, k) == recomputed_leave_one_out(nodes, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_modes_agree_exactly_over_polynomials(n):
     nodes = variables(n)
     for k in range(1, n + 1):
-        stable = elem_sym_leave_one_out(nodes, k, mode="stable")
-        deflate = elem_sym_leave_one_out(nodes, k, mode="deflate")
-        assert stable == deflate
+        assert elem_sym_leave_one_out(nodes, k) == recomputed_leave_one_out(nodes, k)
 
 
 def test_permutation_symmetry():
@@ -102,32 +95,19 @@ def test_permutation_symmetry():
         )
 
 
-def test_deflation_consistency_rational():
-    for k in (1, 2, 3):
-        assert deflation_consistency_check([Fraction(1), Fraction(2), Fraction(3)], k) == 0
-
-
-def test_deflation_consistency_symbolic():
-    nodes = variables(4)
-    for k in range(1, 5):
-        residual = deflation_consistency_check(nodes, k)
-        assert isinstance(residual, MultiPoly) and residual.is_zero
-
-
-def test_deflation_consistency_float():
-    assert deflation_consistency_check([1.0, 2.0, 3.0], 2) <= 1e-12
-
-
 def test_float_tables_match_object_path():
+    # Bit for bit: the vectorized table runs the per-column recurrence.
     rng = np.random.default_rng(3)
+    cases = []
     for n in range(1, 9):
         nodes = [float(x) for x in np.sort(rng.uniform(0.0, 5.0, n)) + 0.1 * np.arange(n)]
-        stable_table = leave_one_out_table_float(nodes)
-        deflate_table = leave_one_out_table_float_deflate(nodes)
-        for k in range(1, n + 1):
-            stable = elem_sym_leave_one_out(nodes, k, mode="stable")
-            assert np.allclose(stable_table[:, k - 1], stable, rtol=1e-12, atol=1e-12)
-            assert np.allclose(deflate_table[:, k - 1], stable, rtol=1e-9, atol=1e-9)
+        cases.append((nodes, range(1, n + 1)))
+    # A bench size whose table overflows to inf; three columns keep it fast.
+    cases.append((draw_bench_nodes(320, 7), (1, 160, 320)))
+    for nodes, columns in cases:
+        table = leave_one_out_table_float(nodes)
+        for k in columns:
+            assert table[:, k - 1].tolist() == elem_sym_leave_one_out(nodes, k)
 
 
 def test_float_table_rejects_non_finite():

@@ -11,7 +11,6 @@ from cimatrix.verifier import (
     verify_equal_column_vanish,
     verify_first_node_zero_block,
     verify_homogeneity,
-    verify_ladder,
     verify_row_degrees,
     verify_suite,
 )
@@ -88,27 +87,6 @@ def test_first_node_zero_block_size4():
 def test_first_node_zero_block_needs_size_two():
     with pytest.raises(ValueError):
         verify_first_node_zero_block(1)
-
-
-def test_ladder_max3():
-    reports = verify_ladder(3)
-    assert [r.n for r in reports] == [1, 2, 3]
-    names = [c.name for r in reports for c in r.checks]
-    assert names.count("determinant-identity") == 3
-    assert names.count("first-node-zero-block") == 2
-    assert all(r.passed for r in reports)
-    assert all(r.extracted_constant == 1 for r in reports)
-
-
-def test_ladder_max1():
-    reports = verify_ladder(1)
-    assert len(reports) == 1 and reports[0].passed
-    assert reports[0].extracted_constant == 1
-
-
-def test_ladder_cap():
-    with pytest.raises(SizeCapError):
-        verify_ladder(7)
 
 
 def test_duality_probe():
