@@ -28,7 +28,6 @@ from .matrix import (
 )
 from .multipoly import MultiPoly, parse_poly, vandermonde_product, variables
 from .scalars import (
-    Rational,
     exact_div,
     ensure_finite,
     float_from_string,
@@ -59,7 +58,6 @@ __all__ = [
     "DetReport",
     "DualityResidual",
     "MultiPoly",
-    "Rational",
     "SizeCapError",
     "VerificationReport",
     "build_ci_matrix",

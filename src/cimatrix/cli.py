@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import statistics
 import sys
 import time
@@ -131,7 +132,7 @@ class MatrixDocument:
         kind = payload.get("scalar_kind")
         mu = payload.get("mu")
         entries = payload.get("entries")
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("n must be a positive integer")
         if kind not in SCALAR_KINDS:
             raise ValueError(f"unknown scalar kind {kind!r}")
@@ -139,10 +140,14 @@ class MatrixDocument:
             if mu != "symbolic":
                 raise ValueError('symbolic documents carry mu = "symbolic"')
         else:
-            if not isinstance(mu, list) or len(mu) != n:
+            if not isinstance(mu, list) or len(mu) != n or any(
+                not isinstance(s, str) for s in mu
+            ):
                 raise ValueError("mu must list one scalar string per node")
         if not isinstance(entries, list) or len(entries) != n or any(
-            not isinstance(row, list) or len(row) != n for row in entries
+            not isinstance(row, list) or len(row) != n
+            or any(not isinstance(s, str) for s in row)
+            for row in entries
         ):
             raise ValueError("entries must be an n x n array of strings")
         doc = MatrixDocument(n, kind, mu, entries)
@@ -293,6 +298,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_det(args) -> int:
+    if not math.isfinite(args.tol) or args.tol < 0:
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     nodes = _parse_node_text(args.mu, "rational")
     if args.oracle == "none":
         closed = rational_to_string(Fraction(det_closed_form(nodes)))

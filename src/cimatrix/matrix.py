@@ -75,9 +75,6 @@ class CIMatrix:
     def entry(self, h: int, k: int):
         return self.entries[h - 1][k - 1]
 
-    def row(self, h: int) -> tuple | np.ndarray:
-        return self.entries[h - 1]
-
     def column(self, k: int) -> tuple:
         return tuple(row[k - 1] for row in self.entries)
 
@@ -91,7 +88,7 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     n = len(nodes)
     if n == 0:
         raise ValueError("node list must not be empty")
-    if isinstance(nodes[0], float):
+    if not is_exact(nodes[0]):
         table = leave_one_out_table_float(nodes)
         # Row h holds e_{n-h}: the table's rows, bottom to top.
         return CIMatrix(n, tuple(float(x) for x in nodes), table[::-1])
@@ -289,7 +286,7 @@ class DetReport:
 
     closed_form: object
     oracle: object
-    oracle_kind: str  # "bareiss" | "lu" | "cofactor"
+    oracle_kind: str  # "bareiss" | "lu"
     discrepancy: object
     exact: bool
 
@@ -311,11 +308,6 @@ def compare_determinants(nodes: Sequence, oracle_kind: str) -> DetReport:
         closed = det_closed_form(floats)
         oracle = det_lu(build_ci_matrix(floats))
         return DetReport(closed, oracle, "lu", closed - oracle, exact=False)
-    if oracle_kind == "cofactor":
-        closed = det_closed_form(nodes)
-        oracle = det_cofactor(build_ci_matrix(nodes))
-        return DetReport(closed, oracle, "cofactor", closed - oracle,
-                         exact=is_exact(nodes[0]))
     raise ValueError(f"unknown oracle {oracle_kind!r}")
 
 

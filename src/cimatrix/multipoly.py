@@ -3,8 +3,17 @@
 A polynomial in n variables u1..un is a map from exponent vectors (tuples
 of n non-negative ints) to nonzero Fraction coefficients.  The zero
 polynomial is the empty map, and equality is structural: two polynomials
-are equal iff their term maps are identical.  The representation is kept
-canonical by construction, so ``==`` never needs simplification.
+are equal iff their term maps are identical, so ``==`` never needs
+simplification.
+
+That canonical form is enforced in two places.  Input from outside the
+program -- ``MultiPoly(nvars, terms)``, ``constant``, ``variable`` and
+``parse_poly`` -- goes through the validating constructor, which checks
+arity and exponent signs and converts every coefficient to Fraction.
+Arithmetic on canonical polynomials keeps arity, exponent signs and
+coefficient type by itself; its results are combined by ``_sum_terms``,
+the one place where like terms are added and zero sums dropped, and
+wrapped unchecked by ``MultiPoly._canonical``.
 
 Values are immutable by convention: no method mutates ``self``, every
 operation returns a fresh polynomial.
@@ -14,7 +23,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import chain
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import rational_from_string, rational_to_string
 
@@ -27,6 +38,17 @@ def _term_order_key(monomial: Monomial):
     # Graded-lex display order: total degree descending, then exponent
     # tuple ascending (u1's exponent most significant).
     return (-sum(monomial), monomial)
+
+
+def _sum_terms(pairs: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+    """Add the coefficients of equal monomials, then drop the zero sums."""
+    out: dict[Monomial, Fraction] = {}
+    for monomial, coeff in pairs:
+        if monomial in out:
+            out[monomial] += coeff
+        else:
+            out[monomial] = coeff
+    return {monomial: coeff for monomial, coeff in out.items() if coeff}
 
 
 class MultiPoly:
@@ -51,6 +73,14 @@ class MultiPoly:
                 canonical[monomial] = coeff
         self.nvars = nvars
         self.terms = canonical
+
+    @classmethod
+    def _canonical(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "MultiPoly":
+        """Wrap a term map that is already canonical, without checks."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -121,19 +151,13 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for monomial, coeff in other.terms.items():
-            total = out.get(monomial, Fraction(0)) + coeff
-            if total:
-                out[monomial] = total
-            else:
-                out.pop(monomial, None)
-        return MultiPoly(self.nvars, out)
+        terms = _sum_terms(chain(self.terms.items(), other.terms.items()))
+        return MultiPoly._canonical(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._canonical(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -151,16 +175,12 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                monomial = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                total = out.get(monomial, Fraction(0)) + c1 * c2
-                if total:
-                    out[monomial] = total
-                else:
-                    out.pop(monomial, None)
-        return MultiPoly(self.nvars, out)
+        terms = _sum_terms(
+            (tuple(map(add, m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )
+        return MultiPoly._canonical(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -199,19 +219,11 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         value = Fraction(value)
         slot = index - 1
-        out: dict[Monomial, Fraction] = {}
-        for monomial, coeff in self.terms.items():
-            e = monomial[slot]
-            scaled = coeff * value**e
-            if not scaled:
-                continue
-            reduced = monomial[:slot] + (0,) + monomial[slot + 1 :]
-            total = out.get(reduced, Fraction(0)) + scaled
-            if total:
-                out[reduced] = total
-            else:
-                out.pop(reduced, None)
-        return MultiPoly(self.nvars, out)
+        terms = _sum_terms(
+            (monomial[:slot] + (0,) + monomial[slot + 1 :], coeff * value ** monomial[slot])
+            for monomial, coeff in self.terms.items()
+        )
+        return MultiPoly._canonical(self.nvars, terms)
 
     def identify_variables(self, keep: int, replace: int) -> "MultiPoly":
         """Substitute u<replace> := u<keep> (both 1-based), keeping the arity.
@@ -224,18 +236,13 @@ class MultiPoly:
                 raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         if keep == replace:
             return self
-        out: dict[Monomial, Fraction] = {}
+        pairs = []
         for monomial, coeff in self.terms.items():
             merged = list(monomial)
             merged[keep - 1] += merged[replace - 1]
             merged[replace - 1] = 0
-            merged = tuple(merged)
-            total = out.get(merged, Fraction(0)) + coeff
-            if total:
-                out[merged] = total
-            else:
-                out.pop(merged, None)
-        return MultiPoly(self.nvars, out)
+            pairs.append((tuple(merged), coeff))
+        return MultiPoly._canonical(self.nvars, _sum_terms(pairs))
 
     def evaluate(self, point: Sequence):
         """Exact value at ``point`` (one scalar per variable)."""
@@ -326,7 +333,7 @@ def parse_poly(text: str, nvars: int) -> MultiPoly:
     if normalized.startswith("-"):
         normalized = "-" + normalized[1:].lstrip()
     chunks = normalized.replace(" - ", " + -").split(" + ")
-    out: dict[Monomial, Fraction] = {}
+    pairs = []
     for chunk in chunks:
         chunk = chunk.strip()
         negative = chunk.startswith("-")
@@ -344,12 +351,5 @@ def parse_poly(text: str, nvars: int) -> MultiPoly:
                 exponents[index - 1] += int(match.group(2) or 1)
             else:
                 coeff *= rational_from_string(factor)
-        if negative:
-            coeff = -coeff
-        monomial = tuple(exponents)
-        total = out.get(monomial, Fraction(0)) + coeff
-        if total:
-            out[monomial] = total
-        else:
-            out.pop(monomial, None)
-    return MultiPoly(nvars, out)
+        pairs.append((tuple(exponents), -coeff if negative else coeff))
+    return MultiPoly(nvars, _sum_terms(pairs))

@@ -22,10 +22,6 @@ import math
 import re
 from fractions import Fraction
 
-# Exact rational scalar.  Fraction already maintains the invariants this
-# package relies on (denominator > 0, fully reduced, int-backed).
-Rational = Fraction
-
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]+\Z")
 

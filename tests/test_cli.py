@@ -117,6 +117,14 @@ def test_det_malformed_nodes(capsys):
     assert run_cli(capsys, "det", "--mu", "1,,3")[0] == 2
 
 
+def test_det_tolerance_usage_errors(capsys):
+    for tol in ("nan", "-1", "inf"):
+        code, out, err = run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu", "--tol", tol)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "--tol" in err
+    assert run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "bareiss", "--tol", "0")[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -261,3 +269,14 @@ def test_document_validation_errors():
     payload["mu"] = ["1"]  # wrong length
     with pytest.raises(ValueError):
         MatrixDocument.from_json(json.dumps(payload))
+    single = {"schema": "ci-matrix/1", "n": 1, "scalar_kind": "rational", "mu": ["1"], "entries": [["1"]]}
+    MatrixDocument.from_json(json.dumps(single))
+    for key, value in (
+        ("entries", [[1]]),  # cells must be strings
+        ("entries", [[None]]),
+        ("mu", [1]),  # nodes must be strings
+        ("mu", [None]),
+        ("n", True),  # a bool is not a node count
+    ):
+        with pytest.raises(ValueError):
+            MatrixDocument.from_json(json.dumps({**single, key: value}))

@@ -200,6 +200,19 @@ def test_substitution_commutes_with_evaluation(p, index, value):
     assert p.substitute(index, value).evaluate(point) == p.evaluate(point)
 
 
+@given(simple_polys, simple_polys, st.integers(1, 3), st.integers(1, 3),
+       st.fractions(max_denominator=10))
+def test_arithmetic_results_are_canonical(p, q, i, j, value):
+    # Results are wrapped without the validating constructor, so check that
+    # they are in the form it would produce.
+    for r in (p + q, p - q, p * q, -p, p.substitute(i, value), p.identify_variables(i, j)):
+        for monomial, coeff in r.terms.items():
+            assert type(coeff) is Fraction and coeff != 0
+            assert type(monomial) is tuple and len(monomial) == 3
+            assert all(type(e) is int and e >= 0 for e in monomial)
+        assert r.terms == MultiPoly(3, r.terms).terms
+
+
 @given(simple_polys)
 def test_render_parse_round_trip(p):
     assert parse_poly(p.render(), 3) == p
