@@ -13,6 +13,7 @@ from .matrix import (
     CIMatrix,
     DetReport,
     DualityResidual,
+    NumericalError,
     SizeCapError,
     build_ci_matrix,
     closed_form_logdet,
@@ -58,6 +59,7 @@ __all__ = [
     "DetReport",
     "DualityResidual",
     "MultiPoly",
+    "NumericalError",
     "SizeCapError",
     "VerificationReport",
     "build_ci_matrix",

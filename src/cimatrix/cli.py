@@ -3,8 +3,9 @@ oracles, run the symbolic verification suite, and benchmark the O(n^2)
 closed form against O(n^3) LU.
 
 Exit codes: 0 success, 2 usage or parse error, 3 verification or oracle
-failure.  All diagnostics go to stderr; stdout carries only the requested
-document, report, or CSV stream.
+failure, or numerical failure (float overflow on finite input).  All
+diagnostics go to stderr; stdout carries only the requested document,
+report, or CSV stream.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .matrix import (
     CIMatrix,
+    NumericalError,
     SizeCapError,
     build_ci_matrix,
     closed_form_logdet,
@@ -428,6 +430,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"error: numerical failure in {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -10,7 +10,8 @@ without forming the matrix.
 ``build_ci_matrix`` has one path per scalar domain: exact nodes deflate
 one shared ``elem_sym_all`` table into n columns, float nodes take the
 vectorized ``leave_one_out_table_float`` and keep it as a read-only
-float64 array, with no per-entry Python objects.
+float64 array, with no per-entry Python objects.  Float arithmetic that
+overflows on finite nodes raises ``NumericalError``, never returns inf/nan.
 
 Three independent determinant oracles witness that identity:
 
@@ -23,6 +24,7 @@ Three independent determinant oracles witness that identity:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -43,6 +45,10 @@ from .symfunc import elem_sym_all, elem_sym_leave_one_out, leave_one_out_table_f
 
 class SizeCapError(ValueError):
     """Raised when an exponential-cost operation exceeds its size cap."""
+
+
+class NumericalError(ArithmeticError):
+    """Raised when float arithmetic on finite input leaves the finite range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +95,11 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     if n == 0:
         raise ValueError("node list must not be empty")
     if not is_exact(nodes[0]):
-        table = leave_one_out_table_float(nodes)
+        # An overflow is reported once, as the error below, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = leave_one_out_table_float(nodes)
+        if not np.all(np.isfinite(table)):
+            raise NumericalError("float CI-matrix build: an entry is not finite")
         # Row h holds e_{n-h}: the table's rows, bottom to top.
         return CIMatrix(n, tuple(float(x) for x in nodes), table[::-1])
     full = elem_sym_all(nodes)
@@ -304,9 +314,16 @@ def compare_determinants(nodes: Sequence, oracle_kind: str) -> DetReport:
         oracle = det_bareiss(build_ci_matrix(nodes))
         return DetReport(closed, oracle, "bareiss", closed - oracle, exact=True)
     if oracle_kind == "lu":
-        floats = [float(x) for x in nodes]
+        try:
+            floats = [float(x) for x in nodes]
+        except OverflowError:
+            raise NumericalError("float nodes: a node does not fit in a float") from None
         closed = det_closed_form(floats)
+        if not math.isfinite(closed):
+            raise NumericalError("float closed form: the product is not finite")
         oracle = det_lu(build_ci_matrix(floats))
+        if not math.isfinite(oracle):
+            raise NumericalError("LU determinant: the value is not finite")
         return DetReport(closed, oracle, "lu", closed - oracle, exact=False)
     raise ValueError(f"unknown oracle {oracle_kind!r}")
 

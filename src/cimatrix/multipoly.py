@@ -1,19 +1,32 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
-A polynomial in n variables u1..un is a map from exponent vectors (tuples
-of n non-negative ints) to nonzero Fraction coefficients.  The zero
-polynomial is the empty map, and equality is structural: two polynomials
-are equal iff their term maps are identical, so ``==`` never needs
-simplification.
+A polynomial in n variables u1..un is a sum of terms c * u1^e1 * ... * un^en
+with nonzero rational c.  The zero polynomial has no terms, and equality is
+structural: two polynomials are equal iff their term maps are identical, so
+``==`` never needs simplification.
+
+Packed exponent vectors, after Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors" (CASC 2007).  The term
+map is keyed by one int per exponent vector: each variable owns a fixed
+field of ``FIELD_BITS`` bits, u1 in the most significant one, so int order
+on keys is lexicographic order on exponent vectors and a monomial product is
+one int addition.  The top bit of every field is a guard: an exponent must
+stay below ``EXPONENT_LIMIT`` = 2^(FIELD_BITS-1), so the sum of two fields
+never carries into the next one, and an operation whose result sets a guard
+bit raises ValueError instead of returning an exponent carried into the
+next variable.  Coefficients are ints wherever they are integral and
+Fractions only where they are not, so the +-1 coefficients of the symbolic
+determinant multiply as machine ints.  ``MultiPoly.terms`` is a decoded,
+read-only view of that map: exponent tuple -> nonzero Fraction.
 
 That canonical form is enforced in two places.  Input from outside the
 program -- ``MultiPoly(nvars, terms)``, ``constant``, ``variable`` and
 ``parse_poly`` -- goes through the validating constructor, which checks
-arity and exponent signs and converts every coefficient to Fraction.
-Arithmetic on canonical polynomials keeps arity, exponent signs and
-coefficient type by itself; its results are combined by ``_sum_terms``,
-the one place where like terms are added and zero sums dropped, and
-wrapped unchecked by ``MultiPoly._canonical``.
+arity and that every exponent is an int in [0, EXPONENT_LIMIT), and converts
+every coefficient through Fraction.  Arithmetic results are combined by
+``_sum_terms``, the one place where like terms are added, zero sums dropped
+and integral coefficients stored as int, and wrapped unchecked by
+``MultiPoly._canonical``.
 
 Values are immutable by convention: no method mutates ``self``, every
 operation returns a fresh polynomial.
@@ -23,64 +36,114 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import chain
-from operator import add
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import rational_from_string, rational_to_string
 
 Monomial = tuple  # exponent vector, one slot per variable
 
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)  # exponents lie in [0, EXPONENT_LIMIT)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
 _FACTOR_RE = re.compile(r"u([0-9]+)(?:\^([0-9]+))?\Z")
 
 
-def _term_order_key(monomial: Monomial):
+def _shift(nvars: int, slot: int) -> int:
+    # u1 (slot 0) owns the most significant field.
+    return (nvars - 1 - slot) * FIELD_BITS
+
+
+@lru_cache(maxsize=32)
+def _guard_mask(nvars: int) -> int:
+    return sum((EXPONENT_LIMIT << _shift(nvars, slot)) for slot in range(nvars))
+
+
+def _unpack(key: int, nvars: int) -> Monomial:
+    return tuple((key >> _shift(nvars, slot)) & _FIELD_MASK for slot in range(nvars))
+
+
+def _degree(key: int) -> int:
+    degree = 0
+    while key:
+        degree += key & _FIELD_MASK
+        key >>= FIELD_BITS
+    return degree
+
+
+def _check_guard(keys: Iterable[int], nvars: int) -> None:
+    if reduce(or_, keys, 0) & _guard_mask(nvars):
+        raise ValueError(f"exponent reaches the limit {EXPONENT_LIMIT}")
+
+
+def _term_order_key(key: int):
     # Graded-lex display order: total degree descending, then exponent
-    # tuple ascending (u1's exponent most significant).
-    return (-sum(monomial), monomial)
+    # vector ascending (u1's exponent most significant), which is the key.
+    return (-_degree(key), key)
 
 
-def _sum_terms(pairs: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
-    """Add the coefficients of equal monomials, then drop the zero sums."""
-    out: dict[Monomial, Fraction] = {}
+def _sum_terms(pairs: Iterable[tuple]) -> dict:
+    """Add the coefficients of equal monomials, then drop the zero sums and
+    store integral coefficients as int."""
+    out: dict = {}
     for monomial, coeff in pairs:
         if monomial in out:
             out[monomial] += coeff
         else:
             out[monomial] = coeff
-    return {monomial: coeff for monomial, coeff in out.items() if coeff}
+    return {
+        monomial: coeff.numerator if coeff.denominator == 1 else coeff
+        for monomial, coeff in out.items()
+        if coeff
+    }
 
 
 class MultiPoly:
-    """Sparse polynomial in a fixed number of variables over Fraction."""
+    """Sparse polynomial in a fixed number of variables over the rationals."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction] | None = None):
         if nvars < 0:
             raise ValueError("variable count must be non-negative")
-        canonical: dict[Monomial, Fraction] = {}
-        for monomial, coeff in (terms or {}).items():
-            monomial = tuple(monomial)
-            if len(monomial) != nvars:
-                raise ValueError(
-                    f"exponent vector {monomial} does not match variable count {nvars}"
-                )
-            if any(e < 0 for e in monomial):
-                raise ValueError(f"negative exponent in {monomial}")
-            coeff = Fraction(coeff)
-            if coeff:
-                canonical[monomial] = coeff
         self.nvars = nvars
-        self.terms = canonical
+        self._terms = _sum_terms(
+            (self._pack(monomial), Fraction(coeff)) for monomial, coeff in (terms or {}).items()
+        )
+
+    def _pack(self, monomial) -> int:
+        """Validate one outside exponent vector and pack it."""
+        monomial = tuple(monomial)
+        if len(monomial) != self.nvars:
+            raise ValueError(
+                f"exponent vector {monomial} does not match variable count {self.nvars}"
+            )
+        key = 0
+        for e in monomial:
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise ValueError(f"exponent {e!r} in {monomial} is not an int")
+            if not 0 <= e < EXPONENT_LIMIT:
+                raise ValueError(f"exponent {e} in {monomial} outside [0, {EXPONENT_LIMIT})")
+            key = (key << FIELD_BITS) | e
+        return key
 
     @classmethod
-    def _canonical(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "MultiPoly":
-        """Wrap a term map that is already canonical, without checks."""
+    def _canonical(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap a packed term map that is already canonical, without checks."""
         poly = cls.__new__(cls)
         poly.nvars = nvars
-        poly.terms = terms
+        poly._terms = terms
         return poly
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """Decoded copy of the term map: exponent tuple -> nonzero Fraction."""
+        return {
+            _unpack(key, self.nvars): Fraction(coeff) for key, coeff in self._terms.items()
+        }
 
     # -- constructors ------------------------------------------------------
 
@@ -116,21 +179,25 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degrees(self) -> set[int]:
         """The set of total degrees present; empty for the zero polynomial."""
-        return {sum(m) for m in self.terms}
+        return set(map(_degree, self._terms))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical display order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda item: _term_order_key(item[0]))
+        return [
+            (_unpack(key, self.nvars), Fraction(self._terms[key]))
+            for key in sorted(self._terms, key=_term_order_key)
+        ]
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Leading (monomial, coefficient) in canonical order; zero poly is an error."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+        key = min(self._terms, key=_term_order_key)
+        return _unpack(key, self.nvars), Fraction(self._terms[key])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -151,13 +218,13 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = _sum_terms(chain(self.terms.items(), other.terms.items()))
+        terms = _sum_terms(chain(self._terms.items(), other._terms.items()))
         return MultiPoly._canonical(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._canonical(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._canonical(self.nvars, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -176,10 +243,11 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         terms = _sum_terms(
-            (tuple(map(add, m1, m2)), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
+            (m1 + m2, c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
         )
+        _check_guard(terms, self.nvars)
         return MultiPoly._canonical(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -193,8 +261,9 @@ class MultiPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -203,7 +272,7 @@ class MultiPoly:
             if coerced is None:
                 return NotImplemented
             other = coerced
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._terms == other._terms
 
     __hash__ = None  # mutable dict inside; polynomials are not dict keys
 
@@ -218,10 +287,13 @@ class MultiPoly:
         if not 1 <= index <= self.nvars:
             raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         value = Fraction(value)
-        slot = index - 1
+        if value.denominator == 1:
+            value = value.numerator
+        shift = _shift(self.nvars, index - 1)
+        field = _FIELD_MASK << shift
         terms = _sum_terms(
-            (monomial[:slot] + (0,) + monomial[slot + 1 :], coeff * value ** monomial[slot])
-            for monomial, coeff in self.terms.items()
+            (key & ~field, coeff * value ** ((key >> shift) & _FIELD_MASK))
+            for key, coeff in self._terms.items()
         )
         return MultiPoly._canonical(self.nvars, terms)
 
@@ -236,13 +308,16 @@ class MultiPoly:
                 raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         if keep == replace:
             return self
-        pairs = []
-        for monomial, coeff in self.terms.items():
-            merged = list(monomial)
-            merged[keep - 1] += merged[replace - 1]
-            merged[replace - 1] = 0
-            pairs.append((tuple(merged), coeff))
-        return MultiPoly._canonical(self.nvars, _sum_terms(pairs))
+        source = _shift(self.nvars, replace - 1)
+        # Adding e * move takes an exponent e out of the replaced field and
+        # into the kept one.
+        move = (1 << _shift(self.nvars, keep - 1)) - (1 << source)
+        terms = _sum_terms(
+            (key + ((key >> source) & _FIELD_MASK) * move, coeff)
+            for key, coeff in self._terms.items()
+        )
+        _check_guard(terms, self.nvars)
+        return MultiPoly._canonical(self.nvars, terms)
 
     def evaluate(self, point: Sequence):
         """Exact value at ``point`` (one scalar per variable)."""
@@ -251,9 +326,9 @@ class MultiPoly:
                 f"point length {len(point)} does not match variable count {self.nvars}"
             )
         total = Fraction(0)
-        for monomial, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             term = coeff
-            for value, e in zip(point, monomial):
+            for value, e in zip(point, _unpack(key, self.nvars)):
                 if e:
                     term = term * value**e
             total = total + term
@@ -266,9 +341,10 @@ class MultiPoly:
         if self.is_zero:
             return "0"
         pieces: list[str] = []
-        for position, (monomial, coeff) in enumerate(self.sorted_terms()):
+        for position, key in enumerate(sorted(self._terms, key=_term_order_key)):
+            coeff = self._terms[key]
             factors = []
-            for slot, e in enumerate(monomial):
+            for slot, e in enumerate(_unpack(key, self.nvars)):
                 if e == 1:
                     factors.append(f"u{slot + 1}")
                 elif e > 1:
@@ -320,7 +396,9 @@ def parse_poly(text: str, nvars: int) -> MultiPoly:
 
     Accepts what ``render`` produces: terms separated by `` + `` / `` - ``,
     an optional leading sign, and ``*``-joined factors per term where each
-    factor is a rational coefficient or ``u<k>[^e]``.
+    factor is a rational coefficient or ``u<k>[^e]``.  Exponents of one
+    variable in one term add up, and their sum must stay below
+    ``EXPONENT_LIMIT``.
     """
     text = text.strip()
     if not text:

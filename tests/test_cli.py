@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,26 @@ def test_det_oracle_mismatch_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "agree=no" in out
     assert "disagrees" in err
+
+
+def assert_numerical_failure(result, stage):
+    code, out, err = result
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and stage in err
+
+
+def test_float_overflow_on_finite_nodes_exits_3(capsys, monkeypatch):
+    nodes = [str(i) for i in range(1, 201)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the failure is the one-line error, no warning
+        assert_numerical_failure(run_cli(capsys, "det", "--mu", ",".join(nodes), "--oracle", "lu"),
+                                 "closed form")
+        assert_numerical_failure(run_cli(capsys, "gen", "--mu", ",".join(nodes[:199]),
+                                         "--kind", "float64"), "CI-matrix build")
+        assert_numerical_failure(run_cli(capsys, "det", "--mu", "1" + "0" * 400 + ".0,1",
+                                         "--oracle", "lu"), "float nodes")
+    monkeypatch.setattr("cimatrix.matrix.det_lu", lambda m, pivot_min=1e-300: float("inf"))
+    assert_numerical_failure(run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu"), "LU")
 
 
 def test_det_malformed_nodes(capsys):

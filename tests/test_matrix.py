@@ -7,6 +7,7 @@ import pytest
 
 from conftest import GOLDEN_N4_ENTRIES, random_distinct_fractions, recomputed_leave_one_out
 from cimatrix.matrix import (
+    NumericalError,
     SizeCapError,
     build_ci_matrix,
     closed_form_logdet,
@@ -77,6 +78,14 @@ def test_float_matrix_is_read_only_and_lu_leaves_it_unchanged():
     assert np.array_equal(m.entries, before)
     with pytest.raises(ValueError):
         m.entries[0, 0] = 1.0
+
+
+def test_float_build_overflow_is_a_numerical_error():
+    nodes = [float(i) for i in range(1, 200)]
+    with pytest.raises(NumericalError):
+        build_ci_matrix(nodes)
+    with pytest.raises(NumericalError):
+        compare_determinants(nodes, "lu")
 
 
 def test_repeated_nodes_give_identical_columns():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cimatrix.multipoly import (
+    EXPONENT_LIMIT,
     MultiPoly,
     parse_poly,
     vandermonde_product,
@@ -42,6 +43,36 @@ def test_construction_validates_exponents():
         MultiPoly(2, {(1,): Fraction(1)})
     with pytest.raises(ValueError):
         MultiPoly(2, {(1, -1): Fraction(1)})
+
+
+def test_construction_rejects_non_int_exponents():
+    for exponents in [(1.5, 0), (True, 0), (0, False), (Fraction(1), 0), ("1", 0),
+                      (EXPONENT_LIMIT, 0), (0, EXPONENT_LIMIT + 1)]:
+        with pytest.raises(ValueError):
+            MultiPoly(2, {exponents: 1})
+    with pytest.raises(ValueError):
+        parse_poly(f"u2^{EXPONENT_LIMIT}", 2)
+    with pytest.raises(ValueError):
+        parse_poly(f"u1^{EXPONENT_LIMIT - 1}*u1", 2)
+
+
+def test_exponent_guard_at_the_limit():
+    top = EXPONENT_LIMIT - 1
+    u1, u2 = variables(2)
+    assert (u1**top).terms == {(top, 0): Fraction(1)}
+    assert (u2**top).render() == f"u2^{top}"
+    assert (u1 ** (top - 1) * u2).identify_variables(1, 2) == u1**top
+    assert (u1**top * u2**top - u1**top * u2**top).is_zero
+    for exceeds in (
+        lambda: u1**top * u1,
+        lambda: u2 * u2**top,
+        lambda: (u1 * u2) ** EXPONENT_LIMIT,
+        lambda: (u2**2) ** (EXPONENT_LIMIT // 2),
+        lambda: (u1**top * u2).identify_variables(1, 2),
+        lambda: (u1 * u2**top).identify_variables(2, 1),
+    ):
+        with pytest.raises(ValueError):
+            exceeds()
 
 
 def test_add_cancellation():
@@ -225,3 +256,88 @@ def test_parse_poly_errors():
         parse_poly("", 3)
     with pytest.raises(ValueError):
         parse_poly("u1 & u2", 3)
+
+
+# Exponents from the whole range, with the values next to the field
+# boundaries drawn often: half the limit, where two factors start to
+# exceed it, and the largest valid exponent.
+wide_exponents = st.one_of(
+    st.integers(0, 3),
+    st.integers(0, EXPONENT_LIMIT - 1),
+    st.sampled_from([EXPONENT_LIMIT // 2 - 1, EXPONENT_LIMIT // 2, EXPONENT_LIMIT - 1]),
+)
+
+
+# Exponents of a second factor: small, or next to half the limit, so that
+# a fair share of products fits and is compared term by term.
+factor_exponents = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([EXPONENT_LIMIT // 2 - 1, EXPONENT_LIMIT // 2]),
+)
+
+
+def wide_terms(nvars: int, exponents=wide_exponents):
+    return st.dictionaries(
+        st.tuples(*[exponents] * nvars),
+        st.fractions(max_denominator=20),
+        min_size=1,
+        max_size=4,
+    )
+
+
+wide_polys = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), wide_terms(n)))
+wide_pairs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), wide_terms(n), wide_terms(n, factor_exponents))
+)
+
+
+def naive_product(p: MultiPoly, q: MultiPoly) -> dict:
+    """Exponent-tuple, Fraction-coefficient product: the reference for ``*``."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            monomial = tuple(a + b for a, b in zip(m1, m2))
+            out[monomial] = out.get(monomial, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@given(wide_polys)
+def test_wide_polynomials_round_trip(case):
+    n, terms = case
+    p = MultiPoly(n, terms)
+    assert p.terms == {m: Fraction(c) for m, c in terms.items() if c}
+    assert MultiPoly(n, p.terms).terms == p.terms
+    assert parse_poly(p.render(), n) == p
+
+
+@given(wide_pairs)
+def test_wide_products_match_naive_product(case):
+    n, terms_p, terms_q = case
+    p, q = MultiPoly(n, terms_p), MultiPoly(n, terms_q)
+    expected = naive_product(p, q)
+    if any(e >= EXPONENT_LIMIT for monomial in expected for e in monomial):
+        with pytest.raises(ValueError):
+            p * q
+    else:
+        assert (p * q).terms == expected
+
+
+@given(wide_polys, st.data())
+def test_wide_identify_variables_matches_naive_fold(case, data):
+    n, terms = case
+    keep = data.draw(st.integers(1, n))
+    replace = data.draw(st.integers(1, n))
+    p = MultiPoly(n, terms)
+    expected = {}
+    for monomial, coeff in p.terms.items():
+        merged = list(monomial)
+        if keep != replace:
+            merged[keep - 1] += merged[replace - 1]
+            merged[replace - 1] = 0
+        expected[tuple(merged)] = expected.get(tuple(merged), Fraction(0)) + coeff
+    expected = {m: c for m, c in expected.items() if c}
+    if any(e >= EXPONENT_LIMIT for monomial in expected for e in monomial):
+        with pytest.raises(ValueError):
+            p.identify_variables(keep, replace)
+    else:
+        assert p.identify_variables(keep, replace).terms == expected
