@@ -17,7 +17,7 @@ import math
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -44,6 +44,9 @@ from .scalars import (
 from .verifier import DEFAULT_CAP, verify_suite
 
 SCHEMA = "ci-matrix/1"
+# Largest `gen --symbolic` size: row h has C(n-1, n-h) terms per entry, so
+# the work grows about 5x per two added nodes; n=12 takes about 0.3 s.
+SYMBOLIC_GEN_CAP = 12
 SCALAR_KINDS = ("rational", "float64", "symbolic")
 BENCH_CSV_HEADER = "n,method,wall_time_s,repeats,result_digest"
 
@@ -275,12 +278,27 @@ def _parse_node_text(text: str, kind: str) -> list:
     return [parse_scalar(piece, kind) for piece in values]
 
 
+@contextmanager
+def _unlimited_int_rendering():
+    """Lift the interpreter's limit on int -> str digits while an exact
+    result is rendered: a valid answer may have any number of digits.
+    Parsing of outside input stays limited."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_gen(args) -> int:
     if args.symbolic:
         if args.n is None:
             raise ValueError("--symbolic requires --n")
         if args.n < 1:
             raise ValueError("n must be at least 1")
+        if args.n > SYMBOLIC_GEN_CAP:
+            raise SizeCapError(f"--n {args.n} exceeds the symbolic gen cap {SYMBOLIC_GEN_CAP}")
         matrix = build_ci_matrix(variables(args.n))
         kind = "symbolic"
     else:
@@ -289,7 +307,8 @@ def cmd_gen(args) -> int:
             raise ValueError(f"--n {args.n} does not match {len(nodes)} nodes")
         matrix = build_ci_matrix(nodes)
         kind = args.kind
-    doc = MatrixDocument.from_matrix(matrix, kind)
+    with _unlimited_int_rendering():
+        doc = MatrixDocument.from_matrix(matrix, kind)
     if args.out == "json":
         sys.stdout.write(doc.to_json())
     elif args.out == "csv":
@@ -304,14 +323,17 @@ def cmd_det(args) -> int:
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     nodes = _parse_node_text(args.mu, "rational")
     if args.oracle == "none":
-        closed = rational_to_string(Fraction(det_closed_form(nodes)))
+        value = det_closed_form(nodes)
+        with _unlimited_int_rendering():
+            closed = rational_to_string(Fraction(value))
         sys.stdout.write(f"closed_form={closed}\n")
         return 0
     report = compare_determinants(nodes, args.oracle)
     if report.exact:
-        closed = rational_to_string(Fraction(report.closed_form))
-        oracle = rational_to_string(Fraction(report.oracle))
-        discrepancy = rational_to_string(Fraction(report.discrepancy))
+        with _unlimited_int_rendering():
+            closed = rational_to_string(Fraction(report.closed_form))
+            oracle = rational_to_string(Fraction(report.oracle))
+            discrepancy = rational_to_string(Fraction(report.discrepancy))
     else:
         closed = float_to_string(report.closed_form)
         oracle = float_to_string(report.oracle)
@@ -326,23 +348,12 @@ def cmd_det(args) -> int:
     return 0
 
 
-def _suite_for_size(task: tuple[int, int]):
-    n, cap = task
-    return verify_suite(n, cap)
-
-
 def cmd_verify(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
     if args.max_n > args.cap:
         raise SizeCapError(f"--max-n {args.max_n} exceeds cap {args.cap}")
-    sizes = list(range(1, args.max_n + 1))
-    if args.parallel and len(sizes) > 1:
-        with ProcessPoolExecutor() as pool:
-            reports = list(pool.map(_suite_for_size, [(n, args.cap) for n in sizes]))
-    else:
-        reports = [verify_suite(n, args.cap) for n in sizes]
-    reports.sort(key=lambda report: report.n)
+    reports = [verify_suite(n, args.cap) for n in range(1, args.max_n + 1)]
     if args.json:
         sys.stdout.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     else:
@@ -405,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="largest size the symbolic expansion may attempt")
     verify.add_argument("--json", action="store_true", help="machine-readable reports")
-    verify.add_argument("--parallel", action="store_true",
-                        help="verify sizes in parallel worker processes")
     verify.set_defaults(handler=cmd_verify)
 
     bench = sub.add_parser("bench", help="time closed form vs LU on float nodes")

@@ -15,7 +15,9 @@ overflows on finite nodes raises ``NumericalError``, never returns inf/nan.
 
 Three independent determinant oracles witness that identity:
 
-* ``det_bareiss`` -- fraction-free elimination, exact over int/Fraction;
+* ``det_bareiss`` -- fraction-free elimination, exact over int/Fraction:
+  each row is cleared of denominators and the rows are eliminated smallest
+  first, so the whole recurrence runs on ints;
 * ``det_lu`` -- partial-pivot LU over floats (``lu_logdet`` for sizes where
   the plain value would overflow);
 * ``det_cofactor`` -- memoized Laplace expansion for polynomial entries,
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -147,32 +150,54 @@ def _rows(matrix) -> list[list]:
 
 
 def det_bareiss(matrix):
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant by fraction-free (Bareiss) elimination over int.
 
-    Entries must support exact division (int, Fraction); every interior
-    division in the recurrence is exact over an integral domain, so the
-    result is exact with no fraction blow-up beyond entry growth.
+    Entries must be int or Fraction; anything else raises TypeError.  Row h
+    is first scaled by the lcm L_h of its denominators, so the elimination
+    runs on ints and det(M) = det(M') / prod L_h.  The rows are then
+    stably sorted by the bit length of their largest |entry|, smallest
+    first, and the permutation's sign is folded back in: every interior
+    entry of the elimination is a minor of the leading rows, so small rows
+    first keep those entries small (on a CI-matrix the all-ones row leads).
+    Every interior division is exact and checked.  All-int input gives an
+    int; any Fraction entry gives a Fraction.
     """
-    m = _rows(matrix)
-    n = len(m)
-    zero = zero_like(m[0][0])
-    sign = 1
-    prev = one_like(m[0][0])
+    rows = _rows(matrix)
+    n = len(rows)
+    has_fraction = False
+    scale = 1
+    cleared = []
+    for row in rows:
+        for x in row:
+            if isinstance(x, Fraction):
+                has_fraction = True
+            elif not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"Bareiss needs int or Fraction entries, got {type(x).__name__}")
+        lcm = math.lcm(*(x.denominator for x in row))
+        scale *= lcm
+        cleared.append([x.numerator * (lcm // x.denominator) for x in row])
+    order = sorted(range(n), key=lambda h: max(abs(x) for x in cleared[h]).bit_length())
+    sign = permutation_sign(order)
+    m = [cleared[h] for h in order]
+    prev = 1
     for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != zero), None)
+        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
         if pivot_row is None:
-            return zero
+            return Fraction(0) if has_fraction else 0
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
-        pivot = m[k][k]
+        top = m[k]
+        pivot = top[k]
         for i in range(k + 1, n):
+            row = m[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                m[i][j] = exact_div(m[i][j] * pivot - m[i][k] * m[k][j], prev)
-            m[i][k] = zero
+                row[j] = exact_div(row[j] * pivot - lead * top[j], prev)
+            row[k] = 0
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    det = sign * m[n - 1][n - 1]
+    return Fraction(det, scale) if has_fraction else det
 
 
 def _float_matrix(matrix) -> np.ndarray:
@@ -195,7 +220,9 @@ def det_lu(matrix, pivot_min: float = 1e-300) -> float:
     sign, diagonal = _lu_pivots(matrix, pivot_min)
     if sign == 0:
         return 0.0
-    return sign * float(np.prod(diagonal))
+    # An overflow gives inf here, which the caller reports once as an error.
+    with np.errstate(over="ignore"):
+        return sign * float(np.prod(diagonal))
 
 
 def lu_logdet(matrix, pivot_min: float = 1e-300) -> tuple[int, float]:

@@ -1,5 +1,7 @@
 import json
+import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from cimatrix.cli import (
     main,
     run_bench,
 )
-from cimatrix.matrix import CIMatrix, build_ci_matrix, symbolic_ci_matrix
+from cimatrix.matrix import CIMatrix, build_ci_matrix, det_closed_form, symbolic_ci_matrix
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +47,14 @@ def test_gen_pretty_symbolic_n4(capsys):
     code, out, _ = run_cli(capsys, "gen", "--n", "4", "--symbolic", "--out", "pretty")
     assert code == 0
     assert out == pretty_layout(GOLDEN_N4_ENTRIES)
+
+
+def test_gen_symbolic_size_cap(capsys):
+    code, out, err = run_cli(capsys, "gen", "--symbolic", "--n", "13", "--out", "csv")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "cap" in err
+    assert run_cli(capsys, "gen", "--symbolic", "--n", "12", "--out", "csv")[0] == 0
+    assert run_cli(capsys, "gen", "--symbolic", "--n", "4") == (0, pretty_layout(GOLDEN_N4_ENTRIES), "")
 
 
 def test_gen_json_round_trip(capsys):
@@ -134,6 +144,27 @@ def test_float_overflow_on_finite_nodes_exits_3(capsys, monkeypatch):
     assert_numerical_failure(run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu"), "LU")
 
 
+def test_det_lu_product_overflow_exits_3_without_warning(capsys):
+    # At n=27 the float closed form is finite but the LU pivot product is not.
+    nodes = ",".join(str(i) for i in range(1, 28))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_numerical_failure(run_cli(capsys, "det", "--mu", nodes, "--oracle", "lu"), "LU")
+    assert caught == []
+
+
+def test_det_renders_results_beyond_the_int_digit_limit(capsys):
+    nodes = list(range(1, 101))
+    code, out, err = run_cli(capsys, "det", "--mu", ",".join(map(str, nodes)))
+    assert code == 0 and err == ""
+    digits = out.removeprefix("closed_form=").removesuffix("\n")
+    assert len(digits) > sys.get_int_max_str_digits() > 0
+    assert Decimal(digits) == det_closed_form(nodes)  # Decimal has no digit limit
+    # Parsing of outside input stays limited.
+    code, out, err = run_cli(capsys, "det", "--mu", "1," + "7" * 5000)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
 def test_det_malformed_nodes(capsys):
     assert run_cli(capsys, "det", "--mu", "1,,3")[0] == 2
 
@@ -184,13 +215,6 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "1")
     assert code == 3
     assert "[FAIL]" in out
-
-
-def test_verify_parallel_matches_serial(capsys):
-    code_serial, out_serial, _ = run_cli(capsys, "verify", "--max-n", "3")
-    code_parallel, out_parallel, _ = run_cli(capsys, "verify", "--max-n", "3", "--parallel")
-    assert code_serial == code_parallel == 0
-    assert out_serial == out_parallel
 
 
 # ---------------------------------------------------------------------------

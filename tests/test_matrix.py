@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_N4_ENTRIES, random_distinct_fractions, recomputed_leave_one_out
 from cimatrix.matrix import (
@@ -140,6 +142,43 @@ def test_bareiss_shape_errors():
         det_bareiss([[1, 2], [3, 4], [5, 6]])
     with pytest.raises(ValueError):
         det_bareiss([])
+
+
+def square_matrices(elements):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+# Small entries make zero pivots and singular matrices common.
+small_ints = st.integers(-3, 3)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@given(square_matrices(small_ints))
+@example([[0, 1, 1], [2, 3, 4], [5, 6, 0]])  # the reorder keeps row 1 first: a zero pivot
+@example([[1, 1, 2], [1, 1, 3], [1, 1, 1]])  # singular: no pivot left in column 2
+def test_bareiss_matches_cofactor_on_int_matrices(rows):
+    value = det_bareiss(rows)
+    assert type(value) is int
+    assert value == det_cofactor(rows)
+
+
+@given(square_matrices(st.one_of(small_ints, small_fractions)))
+@example([[Fraction(0), 1], [Fraction(1, 2), 7]])  # a zero pivot after the reorder
+@example([[Fraction(1, 2), Fraction(1, 2), 1], [1, 1, 2], [1, 1, 3]])  # singular: returns Fraction(0)
+def test_bareiss_matches_cofactor_on_fraction_matrices(rows):
+    value = det_bareiss(rows)
+    has_fraction = any(isinstance(x, Fraction) for row in rows for x in row)
+    assert type(value) is (Fraction if has_fraction else int)
+    assert value == det_cofactor(rows)
+
+
+def test_bareiss_rejects_entries_without_exact_division():
+    u1, u2 = variables(2)
+    for rows in ([[1.0, 2], [3, 4]], [[1, 2], [3, 4.0]], [[True, 0], [0, 1]], [[u1, u2], [u2, u1]]):
+        with pytest.raises(TypeError):
+            det_bareiss(rows)
 
 
 # ---------------------------------------------------------------------------
