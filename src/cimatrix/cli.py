@@ -19,7 +19,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +56,7 @@ BENCH_CSV_HEADER = "n,method,wall_time_s,repeats,result_digest"
 
 def render_scalar(value, scalar_kind: str) -> str:
     if scalar_kind == "rational":
-        return rational_to_string(Fraction(value))
+        return rational_to_string(value)
     if scalar_kind == "float64":
         return float_to_string(value)
     if scalar_kind == "symbolic":
@@ -325,15 +324,15 @@ def cmd_det(args) -> int:
     if args.oracle == "none":
         value = det_closed_form(nodes)
         with _unlimited_int_rendering():
-            closed = rational_to_string(Fraction(value))
+            closed = rational_to_string(value)
         sys.stdout.write(f"closed_form={closed}\n")
         return 0
     report = compare_determinants(nodes, args.oracle)
     if report.exact:
         with _unlimited_int_rendering():
-            closed = rational_to_string(Fraction(report.closed_form))
-            oracle = rational_to_string(Fraction(report.oracle))
-            discrepancy = rational_to_string(Fraction(report.discrepancy))
+            closed = rational_to_string(report.closed_form)
+            oracle = rational_to_string(report.oracle)
+            discrepancy = rational_to_string(report.discrepancy)
     else:
         closed = float_to_string(report.closed_form)
         oracle = float_to_string(report.oracle)

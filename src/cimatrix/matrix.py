@@ -12,6 +12,10 @@ one shared ``elem_sym_all`` table into n columns, float nodes take the
 vectorized ``leave_one_out_table_float`` and keep it as a read-only
 float64 array, with no per-entry Python objects.  Float arithmetic that
 overflows on finite nodes raises ``NumericalError``, never returns inf/nan.
+Rational nodes x_i = p_i / q_i never do Fraction arithmetic: both sides of
+the identity are int polynomial products over a product of denominators,
+so the build deflates int coefficients and ``det_closed_form`` multiplies
+int gaps, and each result is one Fraction (or an int, on all-int nodes).
 
 Three independent determinant oracles witness that identity:
 
@@ -88,11 +92,28 @@ class CIMatrix:
         return tuple(row[k - 1] for row in self.entries)
 
 
+def _rational_parts(nodes: Sequence) -> tuple[list[int], list[int], bool] | None:
+    """Numerators p_i and denominators q_i of int/Fraction nodes
+    x_i = p_i / q_i, and whether any node is a Fraction; None for any other
+    node list (floats, polynomials, or a bool among the nodes)."""
+    has_fraction = False
+    for x in nodes:
+        if isinstance(x, Fraction):
+            has_fraction = True
+        elif not isinstance(x, int) or isinstance(x, bool):
+            return None
+    return [x.numerator for x in nodes], [x.denominator for x in nodes], has_fraction
+
+
 def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     """Construct the CI-matrix of the given nodes.
 
     Exact scalars deflate one shared full table (O(n^2) ring operations
     total); floats recompute every column stably, all columns at once.
+    Rational nodes p_i / q_i deflate on ints: column k holds
+    Q_k * e_m(x without k) with Q_k = prod_{i != k} q_i, and each entry
+    becomes ``Fraction(b, Q_k)``.  All-int nodes give int entries; any
+    Fraction node gives Fraction entries.
     """
     n = len(nodes)
     if n == 0:
@@ -105,10 +126,16 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
             raise NumericalError("float CI-matrix build: an entry is not finite")
         # Row h holds e_{n-h}: the table's rows, bottom to top.
         return CIMatrix(n, tuple(float(x) for x in nodes), table[::-1])
-    full = elem_sym_all(nodes)
+    parts = _rational_parts(nodes)
+    numerators, denominators, has_fraction = (nodes, None, False) if parts is None else parts
+    full = elem_sym_all(numerators, denominators)
     columns = [
-        elem_sym_leave_one_out(nodes, k, full_table=full) for k in range(1, n + 1)
+        elem_sym_leave_one_out(numerators, k, full_table=full, denominators=denominators)
+        for k in range(1, n + 1)
     ]
+    if has_fraction:
+        # b_0 = Q_k: the bottom row comes out as 1.
+        columns = [[Fraction(b, column[0]) for b in column] for column in columns]
     entries = tuple(
         tuple(columns[k][n - h] for k in range(n)) for h in range(1, n + 1)
     )
@@ -126,16 +153,37 @@ def det_closed_form(nodes: Sequence):
     """Pairwise-difference product prod_{i<j} (nodes[j] - nodes[i]).
 
     This is the CI-determinant, evaluated in O(n^2) scalar operations
-    straight from the nodes; the matrix is never formed.
+    straight from the nodes; the matrix is never formed.  Rational nodes
+    p_i / q_i multiply the int gaps p_j q_i - p_i q_j in a balanced product
+    tree and divide once by prod_i q_i^(n-1): an int for all-int nodes, a
+    Fraction if any node is one.  Other scalars multiply the differences in
+    order.
     """
     n = len(nodes)
     if n == 0:
         raise ValueError("node list must not be empty")
+    parts = _rational_parts(nodes)
+    if parts is not None:
+        p, q, has_fraction = parts
+        gaps = [p[j] * q[i] - p[i] * q[j] for i in range(n) for j in range(i + 1, n)]
+        det = 0 if 0 in gaps else _product(gaps)
+        return Fraction(det, _product(q) ** (n - 1)) if has_fraction else det
     det = one_like(nodes[0])
     for i in range(n):
         for j in range(i + 1, n):
             det = det * (nodes[j] - nodes[i])
     return det
+
+
+def _product(factors: list[int]) -> int:
+    """Product of ints by pairs, level by level: the large multiplies get
+    operands of like size, which a one-at-a-time fold never does."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
 
 
 def _rows(matrix) -> list[list]:

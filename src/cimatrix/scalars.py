@@ -49,9 +49,9 @@ def rational_from_string(text: str) -> Fraction:
     raise ValueError(f"malformed scalar {text!r}")
 
 
-def rational_to_string(value: Fraction) -> str:
-    """Render a rational in the same grammar ``rational_from_string`` accepts."""
-    value = Fraction(value)
+def rational_to_string(value: int | Fraction) -> str:
+    """Render an int or Fraction in the grammar ``rational_from_string``
+    accepts; both carry a normalized numerator and denominator."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -208,8 +208,8 @@ def verify_duality_probe(n: int) -> CheckResult:
     residual = vandermonde_duality_residual(nodes)
     passed = residual.max_offdiag == 0 and residual.max_diag_rel == 0
     witness = (
-        f"offdiag={rational_to_string(Fraction(residual.max_offdiag))} "
-        f"diag_rel={rational_to_string(Fraction(residual.max_diag_rel))}"
+        f"offdiag={rational_to_string(residual.max_offdiag)} "
+        f"diag_rel={rational_to_string(residual.max_diag_rel)}"
     )
     return CheckResult("duality", passed, witness)
 

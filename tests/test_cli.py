@@ -37,6 +37,99 @@ def test_gen_csv_golden(capsys):
     assert out == "6,3,2\n5,4,3\n1,1,1\n"
 
 
+# Captured from the CLI before the rational build moved to int arithmetic.
+GOLDEN_RATIONAL_JSON = """\
+{
+  "schema": "ci-matrix/1",
+  "n": 6,
+  "scalar_kind": "rational",
+  "mu": [
+    "1/2",
+    "-3/7",
+    "5",
+    "22/9",
+    "-1",
+    "0"
+  ],
+  "entries": [
+    [
+      "0",
+      "0",
+      "0",
+      "0",
+      "0",
+      "55/21"
+    ],
+    [
+      "110/21",
+      "-55/9",
+      "11/21",
+      "15/14",
+      "-55/21",
+      "-239/126"
+    ],
+    [
+      "-899/63",
+      "-59/6",
+      "-61/126",
+      "-17/14",
+      "-13/18",
+      "-557/42"
+    ],
+    [
+      "127/63",
+      "8",
+      "-23/9",
+      "-69/14",
+      "790/63",
+      "211/42"
+    ],
+    [
+      "379/63",
+      "125/18",
+      "191/126",
+      "57/14",
+      "947/126",
+      "821/126"
+    ],
+    [
+      "1",
+      "1",
+      "1",
+      "1",
+      "1",
+      "1"
+    ]
+  ]
+}
+"""
+
+
+def test_gen_json_golden_rational(capsys):
+    argv = ("gen", "--mu", "1/2,-3/7,5,22/9,-1,0", "--out", "json")
+    assert run_cli(capsys, *argv) == (0, GOLDEN_RATIONAL_JSON, "")
+
+
+def test_det_golden_rational_bareiss(capsys):
+    expected = (
+        "closed_form=-8765925025/583443\n"
+        "oracle=-8765925025/583443 kind=bareiss\n"
+        "discrepancy=0 agree=yes\n"
+    )
+    assert run_cli(capsys, "det", "--mu", "1/2,-3/7,5,22/9,-1,0", "--oracle", "bareiss") == (0, expected, "")
+
+
+def test_gen_csv_golden_decimal_repeated(capsys):
+    expected = (
+        "-81/32,-81/16,9/8,-27/64,-27/64\n"
+        "-153/16,-9,15/2,-147/64,-147/64\n"
+        "111/32,75/16,109/8,-59/32,-59/32\n"
+        "41/8,43/8,27/4,21/8,21/8\n"
+        "1,1,1,1,1\n"
+    )
+    assert run_cli(capsys, "gen", "--mu", "0.5,0.25,-1.125,3,3", "--out", "csv") == (0, expected, "")
+
+
 def test_gen_single_node(capsys):
     code, out, _ = run_cli(capsys, "gen", "--mu", "5", "--out", "csv")
     assert code == 0

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -100,6 +101,48 @@ def test_row_homogeneity_symbolic():
     for h in range(1, 5):
         for k in range(1, 5):
             assert m.entry(h, k).total_degrees() == {4 - h}
+
+
+# Rational nodes run the build and the closed form on ints (numerators and
+# denominators); the references below use plain Fraction arithmetic.
+LARGE_PRIMES = (999983, 1000003, 998244353, 1000000007, 2147483647)
+rational_nodes = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-10**12, 10**12),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(Fraction, st.integers(-10**15, 10**15), st.sampled_from(LARGE_PRIMES)),
+)
+rational_node_lists = st.one_of(
+    st.lists(rational_nodes, min_size=1, max_size=9),
+    # a repeated node, at a drawn position
+    st.lists(rational_nodes, min_size=1, max_size=8).flatmap(
+        lambda xs: st.permutations(xs + [xs[0]])
+    ),
+)
+
+
+def pairwise_fold(nodes):
+    det = Fraction(1)
+    for i, j in combinations(range(len(nodes)), 2):
+        det *= Fraction(nodes[j]) - Fraction(nodes[i])
+    return det
+
+
+@given(rational_node_lists)
+@example([Fraction(1, 999983), Fraction(-2, 1000003), 5, Fraction(7, 999983)])
+@example([Fraction(3, 2), Fraction(3, 2), -4])
+@example([7])
+@example([Fraction(-5, 3)])
+def test_rational_build_and_closed_form_match_fraction_references(nodes):
+    n = len(nodes)
+    m = build_ci_matrix(nodes)
+    for k in range(1, n + 1):
+        assert list(m.column(k)) == recomputed_leave_one_out(nodes, k)[::-1]
+    det = det_closed_form(nodes)
+    assert det == pairwise_fold(nodes)
+    expected_type = Fraction if any(isinstance(x, Fraction) for x in nodes) else int
+    assert all(type(x) is expected_type for row in m.entries for x in row)
+    assert type(det) is expected_type
 
 
 # ---------------------------------------------------------------------------
