@@ -45,6 +45,7 @@ from .scalars import (
     exact_div,
     is_exact,
     one_like,
+    sum_of_products,
     zero_like,
 )
 from .symfunc import elem_sym_all, elem_sym_leave_one_out, leave_one_out_table_float
@@ -259,13 +260,16 @@ def _float_matrix(matrix) -> np.ndarray:
     return a
 
 
-def det_lu(matrix, pivot_min: float = 1e-300) -> float:
+PIVOT_MIN = 1e-300
+
+
+def det_lu(matrix) -> float:
     """Float determinant by LU with partial pivoting.
 
-    A pivot whose magnitude falls below ``pivot_min`` is treated as a
+    A pivot whose magnitude falls below ``PIVOT_MIN`` is treated as a
     numerically singular matrix and yields 0.0.
     """
-    sign, diagonal = _lu_pivots(matrix, pivot_min)
+    sign, diagonal = _lu_pivots(matrix)
     if sign == 0:
         return 0.0
     # An overflow gives inf here, which the caller reports once as an error.
@@ -273,13 +277,13 @@ def det_lu(matrix, pivot_min: float = 1e-300) -> float:
         return sign * float(np.prod(diagonal))
 
 
-def lu_logdet(matrix, pivot_min: float = 1e-300) -> tuple[int, float]:
+def lu_logdet(matrix) -> tuple[int, float]:
     """(sign, log|det|) by the same elimination as :func:`det_lu`.
 
     The log-magnitude form stays finite for sizes where the plain product
     of pivots would overflow; a singular matrix gives (0, -inf).
     """
-    sign, diagonal = _lu_pivots(matrix, pivot_min)
+    sign, diagonal = _lu_pivots(matrix)
     if sign == 0:
         return 0, float("-inf")
     if int(np.count_nonzero(diagonal < 0.0)) % 2:
@@ -287,13 +291,13 @@ def lu_logdet(matrix, pivot_min: float = 1e-300) -> tuple[int, float]:
     return sign, float(np.sum(np.log(np.abs(diagonal))))
 
 
-def _lu_pivots(matrix, pivot_min: float) -> tuple[int, np.ndarray]:
+def _lu_pivots(matrix) -> tuple[int, np.ndarray]:
     a = _float_matrix(matrix)
     n = a.shape[0]
     sign = 1
     for k in range(n - 1):
         pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[pivot_row, k]) < pivot_min:
+        if abs(a[pivot_row, k]) < PIVOT_MIN:
             return 0, a.diagonal()
         if pivot_row != k:
             a[[k, pivot_row]] = a[[pivot_row, k]]
@@ -301,7 +305,7 @@ def _lu_pivots(matrix, pivot_min: float) -> tuple[int, np.ndarray]:
         factors = a[k + 1 :, k] / a[k, k]
         a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
         a[k + 1 :, k] = 0.0
-    if abs(a[n - 1, n - 1]) < pivot_min:
+    if abs(a[n - 1, n - 1]) < PIVOT_MIN:
         return 0, a.diagonal()
     return sign, a.diagonal().copy()
 
@@ -337,7 +341,12 @@ def det_cofactor(matrix, size_cap: int = 7):
     """Determinant by Laplace expansion with column-subset memoization.
 
     Works over any ring (no division), so this is the oracle of choice for
-    polynomial entries.  Cost is O(n * 2^n) ring multiplies, hence the cap.
+    polynomial entries.  The minor on the bottom ``size`` rows and a column
+    subset expands along its top row: each nonzero entry, signed by its
+    position in the subset, times the minor without its column.  That sum
+    of products is one ``sum_of_products`` call, which a polynomial ring
+    sums in one term map and int, Fraction and float fold in column order.
+    Cost is O(n * 2^n) ring multiplies, hence the cap.
     """
     m = _rows(matrix)
     n = len(m)
@@ -346,21 +355,21 @@ def det_cofactor(matrix, size_cap: int = 7):
     zero = zero_like(m[0][0])
     minors = {0: one_like(m[0][0])}
     for size in range(1, n + 1):
-        row = m[n - size]
+        # Entry c with sign + and -, or None where it is zero.
+        signed = [None if x == zero else (x, -x) for x in m[n - size]]
         next_minors = {}
         for cols in combinations(range(n), size):
             mask = 0
             for c in cols:
                 mask |= 1 << c
-            det = zero
-            negate = False
-            for c in cols:
-                entry = row[c]
-                if not (entry == zero):
-                    term = entry * minors[mask ^ (1 << c)]
-                    det = det - term if negate else det + term
-                negate = not negate
-            next_minors[mask] = det
+            next_minors[mask] = sum_of_products(
+                [
+                    (signed[c][position & 1], minors[mask ^ (1 << c)])
+                    for position, c in enumerate(cols)
+                    if signed[c] is not None
+                ],
+                zero,
+            )
         minors = next_minors
     return minors[(1 << n) - 1]
 

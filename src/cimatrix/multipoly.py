@@ -12,21 +12,31 @@ field of ``FIELD_BITS`` bits, u1 in the most significant one, so int order
 on keys is lexicographic order on exponent vectors and a monomial product is
 one int addition.  The top bit of every field is a guard: an exponent must
 stay below ``EXPONENT_LIMIT`` = 2^(FIELD_BITS-1), so the sum of two fields
-never carries into the next one, and an operation whose result sets a guard
-bit raises ValueError instead of returning an exponent carried into the
-next variable.  Coefficients are ints wherever they are integral and
-Fractions only where they are not, so the +-1 coefficients of the symbolic
-determinant multiply as machine ints.  ``MultiPoly.terms`` is a decoded,
-read-only view of that map: exponent tuple -> nonzero Fraction.
+never carries into the next one, and an operation that forms a key with a
+guard bit set raises ValueError instead of returning an exponent carried
+into the next variable.  Coefficients are ints wherever they are integral
+and Fractions only where they are not, so the +-1 coefficients of the
+symbolic determinant multiply as machine ints.  ``MultiPoly.terms`` is a
+decoded, read-only view of that map: exponent tuple -> nonzero Fraction.
 
 That canonical form is enforced in two places.  Input from outside the
 program -- ``MultiPoly(nvars, terms)``, ``constant``, ``variable`` and
 ``parse_poly`` -- goes through the validating constructor, which checks
 arity and that every exponent is an int in [0, EXPONENT_LIMIT), and converts
-every coefficient through Fraction.  Arithmetic results are combined by
-``_sum_terms``, the one place where like terms are added, zero sums dropped
-and integral coefficients stored as int, and wrapped unchecked by
-``MultiPoly._canonical``.
+every coefficient through Fraction.  Arithmetic results are finished by
+``_canonical_terms``, the one place where the guard bits are checked, zero
+sums dropped and integral coefficients stored as int, and wrapped without
+the outside-input checks by ``MultiPoly._canonical``.
+
+Like terms are added in two loops.  ``_sum_products`` is the one product
+kernel: it adds every product a_k * b_k of a list of pairs into one map of
+raw sums, checked for guard bits over every key, cancelled ones included.
+``*`` is its one-pair case; ``+``, ``substitute`` and ``parse_poly`` feed
+it products with constants; ``ring_sum_of_products`` feeds it a whole
+cofactor minor from ``matrix.det_cofactor``, which is then normalized once
+instead of once per product and per partial sum.  ``identify_variables``
+moves each exponent in one pass of its own and guard-checks the terms that
+survive, since a merged exponent past the limit may cancel.
 
 Values are immutable by convention: no method mutates ``self``, every
 operation returns a fresh polynomial.
@@ -37,7 +47,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -74,31 +83,39 @@ def _degree(key: int) -> int:
     return degree
 
 
-def _check_guard(keys: Iterable[int], nvars: int) -> None:
-    if reduce(or_, keys, 0) & _guard_mask(nvars):
-        raise ValueError(f"exponent reaches the limit {EXPONENT_LIMIT}")
-
-
 def _term_order_key(key: int):
     # Graded-lex display order: total degree descending, then exponent
     # vector ascending (u1's exponent most significant), which is the key.
     return (-_degree(key), key)
 
 
-def _sum_terms(pairs: Iterable[tuple]) -> dict:
-    """Add the coefficients of equal monomials, then drop the zero sums and
-    store integral coefficients as int."""
-    out: dict = {}
-    for monomial, coeff in pairs:
-        if monomial in out:
-            out[monomial] += coeff
-        else:
-            out[monomial] = coeff
-    return {
-        monomial: coeff.numerator if coeff.denominator == 1 else coeff
-        for monomial, coeff in out.items()
-        if coeff
-    }
+_UNIT = {0: 1}  # the term map of the constant 1
+
+
+def _sum_products(pairs: Iterable[tuple[dict, dict]]) -> dict:
+    """The product kernel: a_k * b_k summed over ``pairs`` of term maps.
+
+    Every product goes into one map of raw sums, which ``_canonical_terms``
+    then finishes once, however many products were added.
+    """
+    sums: dict = {}
+    get = sums.get
+    for a, b in pairs:
+        b_items = b.items()
+        for m1, c1 in a.items():
+            for m2, c2 in b_items:
+                m = m1 + m2
+                sums[m] = get(m, 0) + c1 * c2
+    return sums
+
+
+def _canonical_terms(nvars: int, sums: dict) -> dict:
+    """Finish a map of raw sums: check the guard bits over every key summed,
+    cancelled ones included, then drop the zero sums and store integral
+    coefficients as int."""
+    if reduce(or_, sums, 0) & _guard_mask(nvars):
+        raise ValueError(f"exponent reaches the limit {EXPONENT_LIMIT}")
+    return {m: c.numerator if c.denominator == 1 else c for m, c in sums.items() if c}
 
 
 class MultiPoly:
@@ -110,9 +127,10 @@ class MultiPoly:
         if nvars < 0:
             raise ValueError("variable count must be non-negative")
         self.nvars = nvars
-        self._terms = _sum_terms(
-            (self._pack(monomial), Fraction(coeff)) for monomial, coeff in (terms or {}).items()
-        )
+        packed = {
+            self._pack(monomial): Fraction(coeff) for monomial, coeff in (terms or {}).items()
+        }
+        self._terms = _canonical_terms(nvars, packed)
 
     def _pack(self, monomial) -> int:
         """Validate one outside exponent vector and pack it."""
@@ -131,11 +149,12 @@ class MultiPoly:
         return key
 
     @classmethod
-    def _canonical(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Wrap a packed term map that is already canonical, without checks."""
+    def _canonical(cls, nvars: int, sums: dict) -> "MultiPoly":
+        """The polynomial of a packed map of raw sums, without the checks on
+        outside input."""
         poly = cls.__new__(cls)
         poly.nvars = nvars
-        poly._terms = terms
+        poly._terms = _canonical_terms(nvars, sums)
         return poly
 
     @property
@@ -174,6 +193,17 @@ class MultiPoly:
 
     def ring_one(self) -> "MultiPoly":
         return MultiPoly.one(self.nvars)
+
+    def ring_sum_of_products(self, pairs: Iterable[tuple]) -> "MultiPoly":
+        """The sum of a * b over ``pairs``, summed in one term map; each
+        operand is a polynomial in this ring, an int or a Fraction."""
+        terms = []
+        for a, b in pairs:
+            a, b = self._coerce(a), self._coerce(b)
+            if a is None or b is None:
+                raise TypeError("sum of products needs polynomial, int or Fraction operands")
+            terms.append((a._terms, b._terms))
+        return MultiPoly._canonical(self.nvars, _sum_products(terms))
 
     # -- basic queries ------------------------------------------------------
 
@@ -218,7 +248,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = _sum_terms(chain(self._terms.items(), other._terms.items()))
+        terms = _sum_products(((self._terms, _UNIT), (other._terms, _UNIT)))
         return MultiPoly._canonical(self.nvars, terms)
 
     __radd__ = __add__
@@ -242,12 +272,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = _sum_terms(
-            (m1 + m2, c1 * c2)
-            for m1, c1 in self._terms.items()
-            for m2, c2 in other._terms.items()
-        )
-        _check_guard(terms, self.nvars)
+        terms = _sum_products(((self._terms, other._terms),))
         return MultiPoly._canonical(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -291,10 +316,10 @@ class MultiPoly:
             value = value.numerator
         shift = _shift(self.nvars, index - 1)
         field = _FIELD_MASK << shift
-        terms = _sum_terms(
-            (key & ~field, coeff * value ** ((key >> shift) & _FIELD_MASK))
-            for key, coeff in self._terms.items()
-        )
+        groups: dict = {}  # e -> the terms with u<index>^e, that field cleared
+        for key, coeff in self._terms.items():
+            groups.setdefault((key >> shift) & _FIELD_MASK, {})[key & ~field] = coeff
+        terms = _sum_products((rest, {0: value**e}) for e, rest in groups.items())
         return MultiPoly._canonical(self.nvars, terms)
 
     def identify_variables(self, keep: int, replace: int) -> "MultiPoly":
@@ -312,12 +337,14 @@ class MultiPoly:
         # Adding e * move takes an exponent e out of the replaced field and
         # into the kept one.
         move = (1 << _shift(self.nvars, keep - 1)) - (1 << source)
-        terms = _sum_terms(
-            (key + ((key >> source) & _FIELD_MASK) * move, coeff)
-            for key, coeff in self._terms.items()
-        )
-        _check_guard(terms, self.nvars)
-        return MultiPoly._canonical(self.nvars, terms)
+        sums: dict = {}
+        get = sums.get
+        for key, coeff in self._terms.items():
+            key += ((key >> source) & _FIELD_MASK) * move
+            sums[key] = get(key, 0) + coeff
+        # Only the surviving terms meet the guard check: a merged exponent
+        # past the limit may cancel, and the result is then representable.
+        return MultiPoly._canonical(self.nvars, {m: c for m, c in sums.items() if c})
 
     def evaluate(self, point: Sequence):
         """Exact value at ``point`` (one scalar per variable)."""
@@ -385,8 +412,11 @@ def vandermonde_product(n: int) -> MultiPoly:
         raise ValueError("need at least one variable")
     u = variables(n)
     result = MultiPoly.one(n)
-    for i in range(n):
-        for j in range(i + 1, n):
+    # Row by row (j outer): after each j the partial product is the
+    # pairwise-difference product of u1..u(j+1), with (j+1)! terms, which
+    # keeps every operand as small as it can be.
+    for j in range(1, n):
+        for i in range(j):
             result = result * (u[j] - u[i])
     return result
 
@@ -430,4 +460,5 @@ def parse_poly(text: str, nvars: int) -> MultiPoly:
             else:
                 coeff *= rational_from_string(factor)
         pairs.append((tuple(exponents), -coeff if negative else coeff))
-    return MultiPoly(nvars, _sum_terms(pairs))
+    terms = [MultiPoly(nvars, {monomial: coeff})._terms for monomial, coeff in pairs]
+    return MultiPoly._canonical(nvars, _sum_products((t, _UNIT) for t in terms))

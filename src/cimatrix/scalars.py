@@ -9,8 +9,8 @@ concrete scalar families are supported out of the box:
 * machine floats -- built-in ``float``, with non-finite values rejected
   at module boundaries,
 * sparse multivariate polynomials -- :class:`cimatrix.multipoly.MultiPoly`,
-  which plugs into the helpers below through its ``ring_zero``/``ring_one``
-  hooks.
+  which plugs into the helpers below through its ``ring_zero``,
+  ``ring_one`` and ``ring_sum_of_products`` hooks.
 
 The helpers here (``one_like``, ``exact_div``, ...) are the whole ring
 contract: algorithms never inspect concrete types beyond them.
@@ -18,6 +18,7 @@ contract: algorithms never inspect concrete types beyond them.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from fractions import Fraction
@@ -53,8 +54,47 @@ def rational_to_string(value: int | Fraction) -> str:
     """Render an int or Fraction in the grammar ``rational_from_string``
     accepts; both carry a normalized numerator and denominator."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_to_string(value.numerator)
+    return f"{_int_to_string(value.numerator)}/{_int_to_string(value.denominator)}"
+
+
+# Above this many bits (about 9900 digits) str(), which is quadratic in the
+# digit count, is slower than the conversion below.
+_STR_BITS = 1 << 15
+_LEAF_BITS = 1024
+
+
+def _int_to_string(x: int) -> str:
+    """Decimal digits of an int: str() up to ``_STR_BITS`` bits, above that
+    a divide-and-conquer conversion.  The int is split in halves by bits,
+    down to leaves of ``_LEAF_BITS``, and the halves are recombined as
+    ``lo + hi * 2**w`` in ``decimal`` at full precision, whose large
+    multiplies are subquadratic (the method of CPython 3.12's ``_pylong``).
+    """
+    if x.bit_length() <= _STR_BITS:
+        return str(x)
+    if x < 0:
+        return "-" + _int_to_string(-x)
+    powers: dict = {}
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            half = w >> 1
+            powers[w] = decimal.Decimal(2) ** w if w <= _LEAF_BITS else power(half) * power(w - half)
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(x, x.bit_length()))
 
 
 def float_from_string(text: str) -> float:
@@ -121,6 +161,22 @@ def one_like(sample):
     if isinstance(sample, Fraction):
         return Fraction(1)
     raise TypeError(f"unsupported scalar type {type(sample).__name__}")
+
+
+def sum_of_products(pairs, zero):
+    """The sum of a * b over ``pairs``, in the ring of ``zero``.
+
+    A ring with a ``ring_sum_of_products`` hook (polynomials) sums every
+    product at once; int, Fraction and float fold from ``zero``, pair by
+    pair in the order given.
+    """
+    hook = getattr(zero, "ring_sum_of_products", None)
+    if hook is not None:
+        return hook(pairs)
+    total = zero
+    for a, b in pairs:
+        total = total + a * b
+    return total
 
 
 def abs_value(value):

@@ -210,7 +210,7 @@ def test_det_lu_oracle(capsys):
 
 
 def test_det_oracle_mismatch_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr("cimatrix.matrix.det_lu", lambda m, pivot_min=1e-300: 99.0)
+    monkeypatch.setattr("cimatrix.matrix.det_lu", lambda m: 99.0)
     code, out, err = run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu")
     assert code == 3
     assert "agree=no" in out
@@ -233,7 +233,7 @@ def test_float_overflow_on_finite_nodes_exits_3(capsys, monkeypatch):
                                          "--kind", "float64"), "CI-matrix build")
         assert_numerical_failure(run_cli(capsys, "det", "--mu", "1" + "0" * 400 + ".0,1",
                                          "--oracle", "lu"), "float nodes")
-    monkeypatch.setattr("cimatrix.matrix.det_lu", lambda m, pivot_min=1e-300: float("inf"))
+    monkeypatch.setattr("cimatrix.matrix.det_lu", lambda m: float("inf"))
     assert_numerical_failure(run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu"), "LU")
 
 

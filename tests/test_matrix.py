@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -24,7 +24,8 @@ from cimatrix.matrix import (
     symbolic_ci_matrix,
     vandermonde_duality_residual,
 )
-from cimatrix.multipoly import MultiPoly, vandermonde_product, variables
+from cimatrix.multipoly import EXPONENT_LIMIT, MultiPoly, vandermonde_product, variables
+from cimatrix.scalars import one_like, zero_like
 
 NODES_123 = [Fraction(1), Fraction(2), Fraction(3)]
 
@@ -302,6 +303,88 @@ def test_cofactor_cap():
         det_cofactor(symbolic_ci_matrix(8))
     # explicit cap raise is allowed
     assert det_cofactor([[Fraction(3)]], size_cap=1) == 3
+
+
+def leibniz_det(rows):
+    """Sum over permutations of signed entry products, built from ``*`` and
+    ``+`` alone: the reference for the fused cofactor expansion."""
+    n = len(rows)
+    total = zero_like(rows[0][0])
+    for perm in permutations(range(n)):
+        term = one_like(rows[0][0])
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + permutation_sign(perm) * term
+    return total
+
+
+def folded_cofactor(rows):
+    """The column-subset expansion folded one signed product at a time from
+    zero: the order in which int, Fraction and float must still be summed."""
+    n = len(rows)
+    zero = zero_like(rows[0][0])
+    minors = {0: one_like(rows[0][0])}
+    for size in range(1, n + 1):
+        row = rows[n - size]
+        next_minors = {}
+        for cols in combinations(range(n), size):
+            mask = sum(1 << c for c in cols)
+            det = zero
+            for position, c in enumerate(cols):
+                if not (row[c] == zero):
+                    term = row[c] * minors[mask ^ (1 << c)]
+                    det = det - term if position % 2 else det + term
+            next_minors[mask] = det
+        minors = next_minors
+    return minors[(1 << n) - 1]
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """n <= 4 over 2-3 variables, entries drawn from a small pool that holds
+    the zero polynomial and an int: repeated entries make rows and columns
+    repeat, so products cancel across the expansion."""
+    nvars = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4))
+    term_maps = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * nvars),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        max_size=3,
+    )
+    pool = [MultiPoly.zero(nvars), 1] + [
+        MultiPoly(nvars, terms) for terms in draw(st.lists(term_maps, min_size=1, max_size=3))
+    ]
+    first = draw(st.sampled_from(pool[:1] + pool[2:]))
+    rows = [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = first  # a polynomial leads, so the sum runs in one term map
+    return rows
+
+
+@given(polynomial_matrices())
+def test_cofactor_matches_leibniz_on_polynomial_matrices(rows):
+    assert det_cofactor(rows) == leibniz_det(rows)
+
+
+def test_cofactor_guard_on_products_that_cancel():
+    # Each product is u1^EXPONENT_LIMIT, which sets the guard bit, yet the
+    # two cancel: the expansion must still refuse, as each product alone would.
+    half = MultiPoly(1, {(EXPONENT_LIMIT // 2,): 1})
+    with pytest.raises(ValueError):
+        det_cofactor([[half, half], [half, half]])
+
+
+@given(st.one_of(
+    square_matrices(small_ints),
+    square_matrices(st.one_of(small_ints, small_fractions)),
+    square_matrices(st.floats(-4, 4)),
+))
+def test_cofactor_on_scalars_keeps_values_and_types(rows):
+    value = det_cofactor(rows, size_cap=6)
+    expected = folded_cofactor(rows)
+    assert type(value) is type(expected)
+    assert value == expected
+    if isinstance(value, float):  # bit for bit: the sign of a zero too
+        assert math.copysign(1.0, value) == math.copysign(1.0, expected)
 
 
 def test_cofactor_agrees_with_bareiss_on_rationals():

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import ring_axiom_failures
 from cimatrix.multipoly import MultiPoly
 from cimatrix.scalars import (
+    _STR_BITS,
     abs_value,
     ensure_finite,
     exact_div,
@@ -45,6 +48,25 @@ def test_rational_to_string():
     assert rational_to_string(Fraction(1, 2)) == "1/2"
     assert rational_to_string(Fraction(-6, 4)) == "-3/2"
     assert rational_to_string(Fraction(5)) == "5"
+
+
+def test_large_values_render_like_str():
+    # Above _STR_BITS bits rational_to_string converts by divide and
+    # conquer; its digits must be exactly those of str().
+    rng = random.Random(5)
+    edge = 1 << _STR_BITS
+    values = [edge - 1, edge, edge + 1, 10**9865, 10**9866 - 1, 7**40000]
+    values += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (_STR_BITS + 1, 50_000, 200_001)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for x in values:
+            assert rational_to_string(x) == str(x)
+            assert rational_to_string(-x) == str(-x)
+        q = Fraction(-(3**50_000) - 2, 2**70_001)
+        assert rational_to_string(q) == f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(st.fractions(max_denominator=10**6))
