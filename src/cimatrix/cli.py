@@ -11,6 +11,7 @@ report, or CSV stream.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -382,7 +383,11 @@ def cmd_bench(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every call of
+    ``main``, which only reads it: each parse fills a fresh namespace.
+    Callers must not change the parser."""
     parser = argparse.ArgumentParser(
         prog="cimatrix",
         description=(
@@ -428,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except SizeCapError as exc:

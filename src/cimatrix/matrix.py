@@ -110,7 +110,8 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     """Construct the CI-matrix of the given nodes.
 
     Exact scalars deflate one shared full table (O(n^2) ring operations
-    total); floats recompute every column stably, all columns at once.
+    total); a node list with any float node (``scalars.is_exact``) is a
+    float list, which recomputes every column stably, all columns at once.
     Rational nodes p_i / q_i deflate on ints: column k holds
     Q_k * e_m(x without k) with Q_k = prod_{i != k} q_i, and each entry
     becomes ``Fraction(b, Q_k)``.  All-int nodes give int entries; any
@@ -119,7 +120,8 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     n = len(nodes)
     if n == 0:
         raise ValueError("node list must not be empty")
-    if not is_exact(nodes[0]):
+    parts = _rational_parts(nodes)
+    if parts is None and not is_exact(nodes):
         # An overflow is reported once, as the error below, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             table = leave_one_out_table_float(nodes)
@@ -127,7 +129,6 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
             raise NumericalError("float CI-matrix build: an entry is not finite")
         # Row h holds e_{n-h}: the table's rows, bottom to top.
         return CIMatrix(n, tuple(float(x) for x in nodes), table[::-1])
-    parts = _rational_parts(nodes)
     numerators, denominators, has_fraction = (nodes, None, False) if parts is None else parts
     full = elem_sym_all(numerators, denominators)
     columns = [

@@ -4,8 +4,10 @@ Every algorithm in this package is generic over any value type that
 supports ``+``, ``-``, ``*`` and ``==`` (a commutative ring).  Three
 concrete scalar families are supported out of the box:
 
-* exact rationals -- ``fractions.Fraction`` (arbitrary precision,
-  normalized by construction: positive denominator, gcd 1),
+* exact rationals -- ``int`` wherever the value is integral, else
+  ``fractions.Fraction`` (arbitrary precision, normalized by
+  construction: positive denominator, gcd 1).  ``rational_from_string``
+  follows that rule, so an all-integer node list runs on ints end to end,
 * machine floats -- built-in ``float``, with non-finite values rejected
   at module boundaries,
 * sparse multivariate polynomials -- :class:`cimatrix.multipoly.MultiPoly`,
@@ -27,12 +29,13 @@ _INT_RE = re.compile(r"-?[0-9]+\Z")
 _DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]+\Z")
 
 
-def rational_from_string(text: str) -> Fraction:
+def rational_from_string(text: str) -> int | Fraction:
     """Parse the textual scalar grammar: integer, ``p/q`` fraction, or decimal.
 
-    Both fraction parts may carry their own sign ("-2/-4" == 1/2); the result
-    is always normalized.  Raises ValueError on malformed input or a zero
-    denominator.
+    Both fraction parts may carry their own sign ("-2/-4" == 1/2).  The
+    result is an int whenever the value is integral ("5", "4/2", "2.0",
+    "-0"), else a normalized Fraction.  Raises ValueError on malformed
+    input or a zero denominator.
     """
     text = text.strip()
     if "/" in text:
@@ -42,12 +45,14 @@ def rational_from_string(text: str) -> Fraction:
         den = int(den_text)
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num_text), den)
-    if _INT_RE.match(text):
-        return Fraction(int(text))
-    if _DECIMAL_RE.match(text):
-        return Fraction(text)
-    raise ValueError(f"malformed scalar {text!r}")
+        value = Fraction(int(num_text), den)
+    elif _INT_RE.match(text):
+        return int(text)
+    elif _DECIMAL_RE.match(text):
+        value = Fraction(text)
+    else:
+        raise ValueError(f"malformed scalar {text!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
 def rational_to_string(value: int | Fraction) -> str:
@@ -126,9 +131,11 @@ def ensure_finite(value: float) -> float:
     return value
 
 
-def is_exact(value) -> bool:
-    """True for scalars whose arithmetic is exact (int, Fraction, polynomials)."""
-    return not isinstance(value, float)
+def is_exact(nodes) -> bool:
+    """True unless a node is a float: the one rule that picks the kernel of
+    a node list.  Any float node selects the float kernel, wherever it
+    stands; int, Fraction and polynomial nodes are exact."""
+    return not any(isinstance(x, float) for x in nodes)
 
 
 def zero_like(sample):

@@ -69,20 +69,23 @@ def elem_sym_leave_one_out(
     """[e_0, ..., e_{n-1}] of the nodes with node k (1-based) removed.
 
     ``full_table`` lets callers share one ``elem_sym_all`` result across all
-    n deflated columns, which is what makes a whole-matrix build O(n^2).
-    Float nodes ignore it and recompute.  With ``denominators`` (as in
-    ``elem_sym_all``), the result is the coefficient list of
-    prod_{i != k} (q_i + p_i t): (prod_{i != k} q_i) * e_m(x without k).
+    n deflated columns, which is what makes a whole-matrix build O(n^2); a
+    caller that passes it has picked the exact kernel.  Without it, a node
+    list with any float node is a float list (``scalars.is_exact``): its
+    nodes are taken as floats and the reduced set is recomputed.  With
+    ``denominators`` (as in ``elem_sym_all``), the result is the
+    coefficient list of prod_{i != k} (q_i + p_i t):
+    (prod_{i != k} q_i) * e_m(x without k).
     """
     n = _check_nodes(nodes)
     if not 1 <= k <= n:
         raise ValueError(f"node index {k} out of range 1..{n}")
-    if not is_exact(nodes[0]):
-        remaining = list(nodes[: k - 1]) + list(nodes[k:])
-        if not remaining:
-            return [one_like(nodes[0])]
-        return elem_sym_all(remaining)[:n]
     if full_table is None:
+        if not is_exact(nodes):
+            remaining = [float(x) for i, x in enumerate(nodes, start=1) if i != k]
+            if not remaining:
+                return [1.0]
+            return elem_sym_all(remaining)[:n]
         full_table = elem_sym_all(nodes, denominators)
     x = nodes[k - 1]
     q = 1 if denominators is None else denominators[k - 1]

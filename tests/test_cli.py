@@ -6,16 +6,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from cli_corpus import run
 from conftest import GOLDEN_N4_ENTRIES, pretty_layout
 from cimatrix.cli import (
     BENCH_CSV_HEADER,
     MatrixDocument,
+    build_parser,
     draw_bench_nodes,
     main,
     run_bench,
 )
 from cimatrix.matrix import CIMatrix, build_ci_matrix, det_closed_form, symbolic_ci_matrix
+from cimatrix.scalars import rational_from_string
 
 
 def run_cli(capsys, *argv):
@@ -418,3 +423,95 @@ def test_document_validation_errors():
     ):
         with pytest.raises(ValueError):
             MatrixDocument.from_json(json.dumps({**single, key: value}))
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process
+
+
+def _without_wall_times(result):
+    """bench prints wall times, which differ from run to run."""
+    code, out, err = result
+    rows = [line.split(",") for line in out.splitlines()]
+    return code, [row[:2] + row[3:] for row in rows], err
+
+
+INTERLEAVED_CALLS = (
+    (("gen", "--mu=1/2,-3/7,5", "--out", "json"), 0),
+    (("det", "--mu=1,2,3", "--oracle", "bareiss"), 0),
+    (("verify", "--max-n", "2", "--json"), 0),
+    (("bench", "--n-list", "3", "--repeats", "1"), 0),
+    (("gen", "--mu=1,2", "--kind", "float64", "--out", "csv", "--n", "2"), 0),
+    (("gen", "--mu=1,2"), 0),  # the defaults again: rational, pretty, no --n
+    (("gen", "--symbolic", "--n", "2", "--out", "csv"), 0),
+    (("det", "--mu=-1,0.5,2/3"), 0),
+    (("gen",), 2),  # argparse usage error
+    (("det", "--mu=1,abc", "--oracle", "bareiss"), 2),  # bad node
+    (("gen", "--mu=1e200,2e200,3e200", "--kind", "float64"), 3),  # float overflow
+)
+
+
+def test_repeated_calls_carry_no_state_through_the_shared_parser():
+    first = {}
+    for argv, code in INTERLEAVED_CALLS:
+        build_parser.cache_clear()  # as the first call of a process
+        first[argv] = _without_wall_times(run(argv))
+        assert first[argv][0] == code
+    calls = [argv for argv, _ in INTERLEAVED_CALLS]
+    for argv in calls + calls[::-1] + calls[1::2] + calls[::2]:
+        assert _without_wall_times(run(argv)) == first[argv], argv
+    assert build_parser() is build_parser()
+
+
+# ---------------------------------------------------------------------------
+# every node list ends in an answer or a one-line error
+
+
+def _decimal_text(mantissa: int, places: int) -> str:
+    digits = str(abs(mantissa)).rjust(places + 1, "0")
+    return f"{'-' if mantissa < 0 else ''}{digits[:-places]}.{digits[-places:]}"
+
+
+# (text, value); a None value marks text that must be refused.
+NODE_TEXTS = st.one_of(
+    st.integers(-20, 20).map(lambda p: (str(p), Fraction(p))),
+    st.tuples(st.integers(-20, 20), st.integers(-6, 6)).map(
+        lambda pq: (f"{pq[0]}/{pq[1]}", Fraction(*pq) if pq[1] else None)
+    ),
+    st.tuples(st.integers(-300, 300), st.integers(1, 3)).map(
+        lambda mp: (_decimal_text(*mp), Fraction(mp[0], 10 ** mp[1]))
+    ),
+)
+
+
+@given(st.lists(NODE_TEXTS, min_size=1, max_size=8))
+@example([("2.0", Fraction(2)), ("4/2", Fraction(2)), ("-0", Fraction(0)), ("5", Fraction(5))])
+@example([("1/2", Fraction(1, 2)), ("3", Fraction(3)), ("0.5", Fraction(1, 2))])
+@example([("7", Fraction(7)), ("1/0", None)])
+def test_det_and_gen_end_in_an_answer_or_one_error_line(nodes):
+    mu = "--mu=" + ",".join(text for text, _ in nodes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        det = run(["det", mu, "--oracle", "bareiss"])
+        gen = run(["gen", mu, "--out", "json"])
+    assert caught == []
+    values = [value for _, value in nodes]
+    if None in values:
+        for code, out, err in (det, gen):
+            assert code == 2 and out == "" and err.startswith("error: ")
+            assert len(err.splitlines()) == 1
+        return
+    expected = Fraction(1)
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            expected *= values[j] - values[i]
+    code, out, err = det
+    assert code == 0 and err == ""
+    closed, oracle, verdict = out.splitlines()
+    assert Fraction(closed.removeprefix("closed_form=")) == expected
+    assert oracle == f"oracle={closed.removeprefix('closed_form=')} kind=bareiss"
+    assert verdict == "discrepancy=0 agree=yes"
+    code, out, err = gen
+    assert code == 0 and err == ""
+    parsed = [rational_from_string(text) for text, _ in nodes]
+    assert MatrixDocument.from_json(out).to_matrix() == build_ci_matrix(parsed)

@@ -84,6 +84,16 @@ def test_float_matrix_is_read_only_and_lu_leaves_it_unchanged():
         m.entries[0, 0] = 1.0
 
 
+def test_any_float_node_selects_the_float_kernel():
+    # The kernel follows every node, not the first one.
+    floats = build_ci_matrix([1 / 3, 0.1, 2.5])
+    for nodes in ([Fraction(1, 3), 0.1, 2.5], [0.1, Fraction(1, 3), 2.5], [2, 0.5, Fraction(7, 2)]):
+        m = build_ci_matrix(nodes)
+        assert isinstance(m.entries, np.ndarray) and not m.entries.flags.writeable
+        assert m.nodes == tuple(float(x) for x in nodes)
+    assert build_ci_matrix([Fraction(1, 3), 0.1, 2.5]) == floats
+
+
 def test_float_build_overflow_is_a_numerical_error():
     nodes = [float(i) for i in range(1, 200)]
     with pytest.raises(NumericalError):

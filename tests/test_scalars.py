@@ -38,6 +38,16 @@ def test_rational_from_string(text, expected):
     assert rational_from_string(text) == expected
 
 
+def test_rational_from_string_gives_int_when_integral():
+    integral = {"7": 7, "-13": -13, "0": 0, "-0": 0, "4/2": 2, "-6/-3": 2, "0/5": 0,
+                "2.0": 2, "-3.000": -3, "-0.0": 0}
+    for text, expected in integral.items():
+        value = rational_from_string(text)
+        assert type(value) is int and value == expected
+    for text in ("3/6", "-0.5", "2/-4", "0.25"):
+        assert type(rational_from_string(text)) is Fraction
+
+
 @pytest.mark.parametrize("text", ["1/0", "-3/0", "abc", "", "1.5.2", "1/2/3", "2.", ".5", "1e3"])
 def test_rational_parse_errors(text):
     with pytest.raises(ValueError):

@@ -110,6 +110,16 @@ def test_float_tables_match_object_path():
             assert table[:, k - 1].tolist() == elem_sym_leave_one_out(nodes, k)
 
 
+def test_any_float_node_selects_the_float_kernel():
+    for mixed in ([Fraction(1, 3), 0.1, 2.5], [0.1, Fraction(1, 3), 2.5]):
+        table = leave_one_out_table_float([float(x) for x in mixed])
+        for k in range(1, 4):
+            result = elem_sym_leave_one_out(mixed, k)
+            assert result == table[:, k - 1].tolist() and all(type(x) is float for x in result)
+    single = elem_sym_leave_one_out([0.5], 1)
+    assert single == [1.0] and type(single[0]) is float
+
+
 def test_float_table_rejects_non_finite():
     with pytest.raises(ValueError):
         leave_one_out_table_float([1.0, float("nan")])
