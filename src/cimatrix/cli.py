@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import statistics
 import sys
 import time
@@ -432,8 +433,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_mu(argv: Sequence[str]) -> list[str]:
+    """``det``/``gen`` ``--mu -1,2`` (or ``--m``, argparse's abbreviation) as
+    ``--mu=-1,2``: argparse takes any value that starts with "-" but is not
+    one plain number for an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if (joined and joined[0] in ("det", "gen") and joined[-1] in ("--mu", "--m")
+                and re.match(r"-[0-9./]", arg)):
+            joined[-1] = f"--mu={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_mu(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except SizeCapError as exc:

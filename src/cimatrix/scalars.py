@@ -23,6 +23,7 @@ from __future__ import annotations
 import decimal
 import math
 import re
+import sys
 from fractions import Fraction
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
@@ -35,24 +36,35 @@ def rational_from_string(text: str) -> int | Fraction:
     Both fraction parts may carry their own sign ("-2/-4" == 1/2).  The
     result is an int whenever the value is integral ("5", "4/2", "2.0",
     "-0"), else a normalized Fraction.  Raises ValueError on malformed
-    input or a zero denominator.
+    input, a zero denominator, or a number with more digits than the
+    interpreter parses (``sys.get_int_max_str_digits``).
     """
     text = text.strip()
     if "/" in text:
         num_text, _, den_text = text.partition("/")
         if not _INT_RE.match(num_text.strip()) or not _INT_RE.match(den_text.strip()):
             raise ValueError(f"malformed rational {text!r}")
-        den = int(den_text)
+        den = _parse_int(den_text)
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        value = Fraction(int(num_text), den)
+        value = Fraction(_parse_int(num_text), den)
     elif _INT_RE.match(text):
-        return int(text)
+        return _parse_int(text)
     elif _DECIMAL_RE.match(text):
-        value = Fraction(text)
+        whole, _, decimals = text.partition(".")
+        value = Fraction(_parse_int(whole + decimals), 10 ** len(decimals))
     else:
         raise ValueError(f"malformed scalar {text!r}")
     return value.numerator if value.denominator == 1 else value
+
+
+def _parse_int(digits: str) -> int:
+    """int(digits), with the interpreter's digit limit as a one-line error."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a number has more than {limit} digits, the parsing limit") from None
 
 
 def rational_to_string(value: int | Fraction) -> str:

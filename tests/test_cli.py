@@ -243,12 +243,36 @@ def test_float_overflow_on_finite_nodes_exits_3(capsys, monkeypatch):
 
 
 def test_det_lu_product_overflow_exits_3_without_warning(capsys):
-    # At n=27 the float closed form is finite but the LU pivot product is not.
+    # At n=27 the LAPACK value is finite (about -3.19e300) but has lost every
+    # digit, so the oracle disagrees: exit 3, no numerical failure.
     nodes = ",".join(str(i) for i in range(1, 28))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert_numerical_failure(run_cli(capsys, "det", "--mu", nodes, "--oracle", "lu"), "LU")
+        code, out, err = run_cli(capsys, "det", "--mu", nodes, "--oracle", "lu")
+    assert code == 3 and "agree=no" in out
+    assert err == "oracle lu disagrees beyond tolerance\n"
     assert caught == []
+
+
+def test_mu_list_may_start_with_a_negative_node(capsys):
+    for mu in ("-1,2", "-1/2,3", "-0.5,1"):
+        assert run_cli(capsys, "det", "--mu", mu) == run_cli(capsys, "det", f"--mu={mu}")
+        assert run_cli(capsys, "gen", "--mu", mu, "--out", "csv") == run_cli(
+            capsys, "gen", f"--mu={mu}", "--out", "csv")
+    assert run_cli(capsys, "det", "--mu", "-1,2") == (0, "closed_form=3\n", "")
+    assert run_cli(capsys, "gen", "--mu", "-1,2", "--out", "csv") == (0, "2,-1\n1,1\n", "")
+    # argparse also takes the abbreviation --m for --mu, with "=" or without.
+    for args in (("--m=-1,2",), ("--m", "-1,2")):
+        assert run_cli(capsys, "det", *args) == (0, "closed_form=3\n", "")
+        assert run_cli(capsys, "gen", *args, "--out", "csv") == (0, "2,-1\n1,1\n", "")
+    # Only --mu of det and gen changes: any other value that looks like an
+    # option is still one.
+    code, out, err = run_cli(capsys, "verify", "--max-n", "1", "--mu", "-1,2")
+    assert code == 2 and "unrecognized arguments: --mu -1,2" in err
+    code, out, err = run_cli(capsys, "bench", "--n-list", "-1,2")
+    assert code == 2 and "expected one argument" in err
+    code, out, err = run_cli(capsys, "det", "--mu", "--oracle", "lu")
+    assert code == 2 and "expected one argument" in err
 
 
 def test_det_renders_results_beyond_the_int_digit_limit(capsys):
@@ -258,9 +282,10 @@ def test_det_renders_results_beyond_the_int_digit_limit(capsys):
     digits = out.removeprefix("closed_form=").removesuffix("\n")
     assert len(digits) > sys.get_int_max_str_digits() > 0
     assert Decimal(digits) == det_closed_form(nodes)  # Decimal has no digit limit
-    # Parsing of outside input stays limited.
+    # Parsing of outside input stays limited, with the limit in the message.
     code, out, err = run_cli(capsys, "det", "--mu", "1," + "7" * 5000)
     assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert f"{sys.get_int_max_str_digits()} digits" in err and "set_int_max_str_digits" not in err
 
 
 def test_det_malformed_nodes(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_N4_ENTRIES, random_distinct_fractions, recomputed_leave_one_out
+from cimatrix.cli import draw_bench_nodes
 from cimatrix.matrix import (
     NumericalError,
     SizeCapError,
@@ -275,6 +277,33 @@ def test_lu_logdet_negative_determinants():
         sign, _ = lu_logdet(build_ci_matrix(nodes).entries)
         direct = det_closed_form(nodes)
         assert sign == math.copysign(1, direct)
+
+
+def test_lu_logdet_on_bench_nodes_matches_the_exact_product():
+    for n in range(2, 13):
+        nodes = draw_bench_nodes(n, seed=0)
+        exact = det_closed_form([Fraction(x) for x in nodes])
+        sign, logabs = lu_logdet(build_ci_matrix(nodes))
+        assert sign == (1 if exact > 0 else -1)
+        expected = math.log(exact.numerator) - math.log(exact.denominator)
+        assert abs(logabs - expected) <= 1e-8
+
+
+def test_lu_subnormal_pivot_is_not_singular():
+    m = [[1e-310, 0.0], [0.0, 1.0]]
+    assert det_lu(m) == 1e-310
+    sign, logabs = lu_logdet(m)
+    assert sign == 1 and -713.81 < logabs < -713.80
+
+
+def test_lu_overflow_raises_and_singular_stays_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lu in (lu_logdet, det_lu):
+            with pytest.raises(NumericalError, match="LU"):
+                lu([[1e308, 1e308], [-1e308, 1e308]])
+        assert lu_logdet([[1.0, 2.0], [2.0, 4.0]]) == (0, float("-inf"))
+        assert det_lu([[1.0, 2.0], [2.0, 4.0]]) == 0.0
 
 
 def test_closed_form_logdet():

@@ -54,6 +54,18 @@ def test_rational_parse_errors(text):
         rational_from_string(text)
 
 
+def test_rational_parse_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    assert rational_from_string("7" * limit) == int("7" * limit)
+    for text in ("7" * (limit + 1), "-1/" + "3" * (limit + 1), "0." + "5" * (limit + 1)):
+        with pytest.raises(ValueError) as caught:
+            rational_from_string(text)
+        message = str(caught.value)
+        assert f"{limit} digits" in message and "\n" not in message
+        assert "set_int_max_str_digits" not in message
+
+
 def test_rational_to_string():
     assert rational_to_string(Fraction(1, 2)) == "1/2"
     assert rational_to_string(Fraction(-6, 4)) == "-3/2"
