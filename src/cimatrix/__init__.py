@@ -11,8 +11,6 @@ polynomial ring.
 
 from .matrix import (
     CIMatrix,
-    DetReport,
-    DualityResidual,
     NumericalError,
     SizeCapError,
     build_ci_matrix,
@@ -23,45 +21,21 @@ from .matrix import (
     det_cofactor,
     det_lu,
     lu_logdet,
-    permutation_sign,
     symbolic_ci_matrix,
     vandermonde_duality_residual,
 )
 from .multipoly import MultiPoly, parse_poly, vandermonde_product, variables
-from .scalars import (
-    exact_div,
-    ensure_finite,
-    float_from_string,
-    float_to_string,
-    rational_from_string,
-    rational_to_string,
-)
-from .symfunc import elem_sym_all, elem_sym_leave_one_out
-from .verifier import (
-    DEFAULT_CAP,
-    CheckResult,
-    VerificationReport,
-    verify_determinant_identity,
-    verify_duality_probe,
-    verify_equal_column_vanish,
-    verify_first_node_zero_block,
-    verify_homogeneity,
-    verify_row_degrees,
-    verify_suite,
-)
+from .scalars import float_to_string, rational_from_string, rational_to_string
+from .verifier import DEFAULT_CAP, verify_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CIMatrix",
-    "CheckResult",
     "DEFAULT_CAP",
-    "DetReport",
-    "DualityResidual",
     "MultiPoly",
     "NumericalError",
     "SizeCapError",
-    "VerificationReport",
     "build_ci_matrix",
     "closed_form_logdet",
     "compare_determinants",
@@ -69,26 +43,14 @@ __all__ = [
     "det_closed_form",
     "det_cofactor",
     "det_lu",
-    "elem_sym_all",
-    "elem_sym_leave_one_out",
-    "ensure_finite",
-    "exact_div",
-    "float_from_string",
     "float_to_string",
     "lu_logdet",
     "parse_poly",
-    "permutation_sign",
     "rational_from_string",
     "rational_to_string",
     "symbolic_ci_matrix",
     "vandermonde_duality_residual",
     "vandermonde_product",
     "variables",
-    "verify_determinant_identity",
-    "verify_duality_probe",
-    "verify_equal_column_vanish",
-    "verify_first_node_zero_block",
-    "verify_homogeneity",
-    "verify_row_degrees",
     "verify_suite",
 ]

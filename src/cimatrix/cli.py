@@ -36,12 +36,7 @@ from .matrix import (
     lu_logdet,
 )
 from .multipoly import MultiPoly, parse_poly, variables
-from .scalars import (
-    float_from_string,
-    float_to_string,
-    rational_from_string,
-    rational_to_string,
-)
+from .scalars import float_to_string, rational_from_string, rational_to_string
 from .verifier import DEFAULT_CAP, verify_suite
 
 SCHEMA = "ci-matrix/1"
@@ -67,10 +62,15 @@ def render_scalar(value, scalar_kind: str) -> str:
 
 
 def parse_scalar(text: str, scalar_kind: str, nvars: int = 0):
+    """Every kind reads one grammar (``rational_from_string``); a float64
+    scalar is the correctly rounded value of the exact one."""
     if scalar_kind == "rational":
         return rational_from_string(text)
     if scalar_kind == "float64":
-        return float_from_string(text)
+        try:
+            return float(rational_from_string(text))
+        except OverflowError:
+            raise ValueError(f"{text!r} is beyond the float64 range") from None
     if scalar_kind == "symbolic":
         return parse_poly(text, nvars)
     raise ValueError(f"unknown scalar kind {scalar_kind!r}")
@@ -428,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated matrix sizes")
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", choices=("csv",), default="csv")
     bench.set_defaults(handler=cmd_bench)
     return parser
 

@@ -123,9 +123,7 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
         raise ValueError("node list must not be empty")
     parts = _rational_parts(nodes)
     if parts is None and not is_exact(nodes):
-        # An overflow is reported once, as the error below, not as warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = leave_one_out_table_float(nodes)
+        table = leave_one_out_table_float(nodes)
         if not np.all(np.isfinite(table)):
             raise NumericalError("float CI-matrix build: an entry is not finite")
         # Row h holds e_{n-h}: the table's rows, bottom to top.

@@ -215,13 +215,6 @@ class MultiPoly:
         """The set of total degrees present; empty for the zero polynomial."""
         return set(map(_degree, self._terms))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical display order (leading term first)."""
-        return [
-            (_unpack(key, self.nvars), Fraction(self._terms[key]))
-            for key in sorted(self._terms, key=_term_order_key)
-        ]
-
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Leading (monomial, coefficient) in canonical order; zero poly is an error."""
         if self.is_zero:

@@ -27,44 +27,53 @@ import sys
 from fractions import Fraction
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
-_DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]+\Z")
+_DECIMAL_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?(?:[eE]([+-]?[0-9]+))?\Z")
 
 
 def rational_from_string(text: str) -> int | Fraction:
-    """Parse the textual scalar grammar: integer, ``p/q`` fraction, or decimal.
+    """Parse the one scalar grammar: ``-?digits[.digits][(e|E)[+-]digits]``
+    or a ``p/q`` fraction of signed ints.
 
-    Both fraction parts may carry their own sign ("-2/-4" == 1/2).  The
-    result is an int whenever the value is integral ("5", "4/2", "2.0",
-    "-0"), else a normalized Fraction.  Raises ValueError on malformed
-    input, a zero denominator, or a number with more digits than the
-    interpreter parses (``sys.get_int_max_str_digits``).
+    Both fraction parts may carry their own sign ("-2/-4" == 1/2), and an
+    exponent scales exactly ("2.5e-3" == 1/400).  The result is an int
+    whenever the value is integral ("5", "4/2", "2.0", "1E2", "-0"), else
+    a normalized Fraction.  Raises ValueError on malformed input, a zero
+    denominator, or a number that takes more digits to write out in plain
+    digits (mantissa digits plus |exponent|) than the interpreter parses
+    (``sys.get_int_max_str_digits``); that check comes before any power of
+    ten is built.
     """
     text = text.strip()
-    if "/" in text:
-        num_text, _, den_text = text.partition("/")
-        if not _INT_RE.match(num_text.strip()) or not _INT_RE.match(den_text.strip()):
+    num_text, slash, den_text = text.partition("/")
+    if slash:
+        parts = num_text.strip(), den_text.strip()
+        if not all(_INT_RE.match(part) for part in parts):
             raise ValueError(f"malformed rational {text!r}")
-        den = _parse_int(den_text)
+        for part in parts:
+            _check_digits(len(part.lstrip("-")))
+        num, den = map(int, parts)
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        value = Fraction(_parse_int(num_text), den)
-    elif _INT_RE.match(text):
-        return _parse_int(text)
-    elif _DECIMAL_RE.match(text):
-        whole, _, decimals = text.partition(".")
-        value = Fraction(_parse_int(whole + decimals), 10 ** len(decimals))
+        value = Fraction(num, den)
     else:
-        raise ValueError(f"malformed scalar {text!r}")
+        match = _DECIMAL_RE.match(text)
+        if match is None:
+            raise ValueError(f"malformed scalar {text!r}")
+        sign, whole, decimals, exponent = match.groups("")
+        _check_digits(len(exponent.lstrip("+-")))
+        power = int(exponent or 0)
+        _check_digits(len(whole) + len(decimals) + abs(power))
+        mantissa = int(sign + whole + decimals)
+        shift = power - len(decimals)
+        value = mantissa * 10**shift if shift >= 0 else Fraction(mantissa, 10**-shift)
     return value.numerator if value.denominator == 1 else value
 
 
-def _parse_int(digits: str) -> int:
-    """int(digits), with the interpreter's digit limit as a one-line error."""
-    try:
-        return int(digits)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"a number has more than {limit} digits, the parsing limit") from None
+def _check_digits(count: int) -> None:
+    """The interpreter's digit limit on parsed numbers, as a one-line error."""
+    limit = sys.get_int_max_str_digits()
+    if limit and count > limit:
+        raise ValueError(f"a number has more than {limit} digits, the parsing limit")
 
 
 def rational_to_string(value: int | Fraction) -> str:
@@ -114,33 +123,21 @@ def _int_to_string(x: int) -> str:
         return str(convert(x, x.bit_length()))
 
 
-def float_from_string(text: str) -> float:
-    """Parse a float, rejecting NaN and infinities."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"malformed float {text!r}") from None
-    return ensure_finite(value)
-
-
 def float_to_string(value: float) -> str:
     """Canonical float rendering: shortest round-trip form, integers bare.
 
     Integral values render without a fractional part ("1", not "1.0") so
     that documents of any scalar kind show the all-ones matrix row the same
-    way; parse(render(x)) == x holds for every finite float either way.
+    way.  ``float(rational_from_string(render(x))) == x`` holds for every
+    finite float either way: a float read from text is the correctly rounded
+    value of the exact rational the text names.
     """
-    value = ensure_finite(float(value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite float {value!r}")
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
-
-
-def ensure_finite(value: float) -> float:
-    """Boundary guard for the float domain: NaN/inf are errors, never data."""
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite float {value!r}")
-    return value
 
 
 def is_exact(nodes) -> bool:

@@ -17,9 +17,7 @@ leave-one-out kernel:
   the multiply and the divide, which leaves the plain recurrences;
 * floats recompute on the reduced node set, because deflation subtracts
   nearly equal quantities.  ``leave_one_out_table_float`` does this for
-  every node at once with numpy and backs the float matrix builder;
-  ``elem_sym_leave_one_out`` on floats is the same recurrence one column at
-  a time, bit for bit.
+  every node at once with numpy and backs the float matrix builder.
 
 Node indices are 1-based throughout the public interface.
 """
@@ -30,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import exact_div, is_exact, one_like, zero_like
+from .scalars import exact_div, one_like, zero_like
 
 
 def _check_nodes(nodes: Sequence) -> int:
@@ -69,11 +67,8 @@ def elem_sym_leave_one_out(
     """[e_0, ..., e_{n-1}] of the nodes with node k (1-based) removed.
 
     ``full_table`` lets callers share one ``elem_sym_all`` result across all
-    n deflated columns, which is what makes a whole-matrix build O(n^2); a
-    caller that passes it has picked the exact kernel.  Without it, a node
-    list with any float node is a float list (``scalars.is_exact``): its
-    nodes are taken as floats and the reduced set is recomputed.  With
-    ``denominators`` (as in ``elem_sym_all``), the result is the
+    n deflated columns, which is what makes a whole-matrix build O(n^2).
+    With ``denominators`` (as in ``elem_sym_all``), the result is the
     coefficient list of prod_{i != k} (q_i + p_i t):
     (prod_{i != k} q_i) * e_m(x without k).
     """
@@ -81,11 +76,6 @@ def elem_sym_leave_one_out(
     if not 1 <= k <= n:
         raise ValueError(f"node index {k} out of range 1..{n}")
     if full_table is None:
-        if not is_exact(nodes):
-            remaining = [float(x) for i, x in enumerate(nodes, start=1) if i != k]
-            if not remaining:
-                return [1.0]
-            return elem_sym_all(remaining)[:n]
         full_table = elem_sym_all(nodes, denominators)
     x = nodes[k - 1]
     q = 1 if denominators is None else denominators[k - 1]
@@ -102,9 +92,9 @@ def leave_one_out_table_float(nodes: Sequence[float]) -> np.ndarray:
     Returns an (n, n) array T with T[m, k-1] = e_m of the nodes without
     node k.  Every column runs the insertion recurrence over its own n-1
     nodes: inserting node i advances all columns in one slice update, then
-    column i, which must not see node i, gets its old values back.  Column
-    k-1 is bit for bit ``elem_sym_leave_one_out(nodes, k)``: both apply the
-    same recurrence to the same values in the same order.
+    column i, which must not see node i, gets its old values back.  Entries
+    that overflow come back as inf or nan, without a numpy warning; the
+    caller decides what a non-finite entry means.
     """
     x = np.asarray(nodes, dtype=float)
     n = x.shape[0]
@@ -114,9 +104,10 @@ def leave_one_out_table_float(nodes: Sequence[float]) -> np.ndarray:
         raise ValueError("non-finite float node")
     table = np.zeros((n, n))
     table[0, :] = 1.0
-    for i in range(n):
-        top = min(i + 1, n - 1)
-        skipped = table[: top + 1, i].copy()
-        table[1 : top + 1] += x[i] * table[:top]
-        table[: top + 1, i] = skipped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            top = min(i + 1, n - 1)
+            skipped = table[: top + 1, i].copy()
+            table[1 : top + 1] += x[i] * table[:top]
+            table[: top + 1, i] = skipped
     return table

@@ -62,12 +62,15 @@ ARGVS += [
     ["gen", "--mu", "1,2,3", "--n", "3", "--out", "csv"],
     ["gen", "--mu", "1/2,2,3"],
     ["det", "--mu", _nodes(range(1, 41)), "--oracle", "bareiss"],
+    ["det", "--mu=2.5e-3,1e2,-3/7", "--oracle", "bareiss"],
     ["verify", "--max-n", "5", "--json"],
     ["verify", "--max-n", "3"],
     # float runs: pinned by exit code and stderr
     ["gen", "--mu", "0.5,1.75,3.0", "--kind", "float64", "--out", "json"],
     ["gen", "--mu", "0.1,1/3,2.5", "--kind", "float64", "--out", "csv"],
     ["gen", "--mu", "1e200,2e200,3e200", "--kind", "float64"],
+    ["gen", "--mu", "1e400", "--kind", "float64"],
+    ["gen", "--mu", ".5,+1,1_0", "--kind", "float64"],
     ["det", "--mu", "1,2,3", "--oracle", "lu"],
     ["det", "--mu", "1/2,-3/7,5,22/9", "--oracle", "lu"],
     ["det", "--mu", _nodes(range(1, 28)), "--oracle", "lu"],
@@ -90,6 +93,7 @@ ARGVS += [
     ["det", "--mu", "1,,3"],
     ["det", "--mu", "1,x"],
     ["det", "--mu", "1," + "7" * 5000],
+    ["det", "--mu", "1e999999"],
     ["det", "--mu", "1,2", "--oracle", "cofactor"],
     ["det", "--mu", "1,2,3", "--oracle", "lu", "--tol", "nan"],
     ["det", "--mu", "1,2,3", "--oracle", "lu", "--tol", "-1"],

@@ -292,6 +292,21 @@ def test_det_malformed_nodes(capsys):
     assert run_cli(capsys, "det", "--mu", "1,,3")[0] == 2
 
 
+def test_float_kind_reads_the_one_scalar_grammar(capsys):
+    # A float64 node is the correctly rounded value of the exact node.
+    code, out, err = run_cli(capsys, "gen", "--mu", "0.1,1/3,2.5e-3", "--kind", "float64",
+                             "--out", "json")
+    assert code == 0 and err == ""
+    assert MatrixDocument.from_json(out).mu == ["0.1", repr(1 / 3), "0.0025"]
+
+
+def test_out_of_range_exponents_exit_2_with_one_line(capsys):
+    for argv in (("gen", "--kind", "float64", "--mu", "1e400"), ("det", "--mu", "1e999999")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+
 def test_det_tolerance_usage_errors(capsys):
     for tol in ("nan", "-1", "inf"):
         code, out, err = run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu", "--tol", tol)
@@ -366,6 +381,7 @@ def test_bench_usage_errors(capsys):
     assert run_cli(capsys, "bench", "--n-list", "0")[0] == 2
     assert run_cli(capsys, "bench", "--n-list", "4,x")[0] == 2
     assert run_cli(capsys, "bench", "--n-list", "4", "--repeats", "0")[0] == 2
+    assert run_cli(capsys, "bench", "--n-list", "4", "--out", "csv")[0] == 2
 
 
 def test_draw_bench_nodes_reproducible_and_separated():

@@ -12,9 +12,7 @@ from cimatrix.multipoly import MultiPoly
 from cimatrix.scalars import (
     _STR_BITS,
     abs_value,
-    ensure_finite,
     exact_div,
-    float_from_string,
     float_to_string,
     rational_from_string,
     rational_to_string,
@@ -48,7 +46,17 @@ def test_rational_from_string_gives_int_when_integral():
         assert type(rational_from_string(text)) is Fraction
 
 
-@pytest.mark.parametrize("text", ["1/0", "-3/0", "abc", "", "1.5.2", "1/2/3", "2.", ".5", "1e3"])
+def test_decimal_exponents_scale_exactly():
+    assert rational_from_string("2.5e-3") == Fraction(1, 400)
+    value = rational_from_string("1E2")
+    assert type(value) is int and value == 100
+    assert rational_from_string("-1.25e+1") == Fraction(-25, 2)
+    assert rational_from_string("1e3") == 1000
+    assert rational_from_string("7e-0") == 7
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "abc", "", "1.5.2", "1/2/3", "2.", ".5",
+                                  "1e", "1e+", "e3", "+1", "1_0", "1/2e3", "inf", "nan"])
 def test_rational_parse_errors(text):
     with pytest.raises(ValueError):
         rational_from_string(text)
@@ -58,7 +66,9 @@ def test_rational_parse_names_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     assert limit > 0
     assert rational_from_string("7" * limit) == int("7" * limit)
-    for text in ("7" * (limit + 1), "-1/" + "3" * (limit + 1), "0." + "5" * (limit + 1)):
+    assert rational_from_string(f"1e{limit - 1}") == 10 ** (limit - 1)
+    for text in ("7" * (limit + 1), "-1/" + "3" * (limit + 1), "0." + "5" * (limit + 1),
+                 "1e5000", "1e-5000", f"1e{limit}", "1e999999", "1e" + "0" * (limit + 1)):
         with pytest.raises(ValueError) as caught:
             rational_from_string(text)
         message = str(caught.value)
@@ -125,14 +135,13 @@ def test_exact_div_integers():
 
 
 def test_float_boundary_guards():
-    assert float_from_string("1.5") == 1.5
-    for bad in ("nan", "inf", "-inf"):
+    assert float(rational_from_string("1.5")) == 1.5
+    for bad in ("nan", "inf", "-inf", "not-a-number"):
         with pytest.raises(ValueError):
-            float_from_string(bad)
-    with pytest.raises(ValueError):
-        ensure_finite(float("nan"))
-    with pytest.raises(ValueError):
-        float_from_string("not-a-number")
+            rational_from_string(bad)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            float_to_string(bad)
 
 
 def test_float_to_string_integral_values_render_bare():
@@ -143,7 +152,7 @@ def test_float_to_string_integral_values_render_bare():
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_float_render_parse_round_trip(x):
-    assert float_from_string(float_to_string(x)) == x
+    assert float(rational_from_string(float_to_string(x))) == x
 
 
 def test_abs_value():

