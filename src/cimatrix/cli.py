@@ -63,14 +63,19 @@ def render_scalar(value, scalar_kind: str) -> str:
 
 def parse_scalar(text: str, scalar_kind: str, nvars: int = 0):
     """Every kind reads one grammar (``rational_from_string``); a float64
-    scalar is the correctly rounded value of the exact one."""
+    scalar is the correctly rounded value of the exact one, and text whose
+    value overflows, or is nonzero and rounds to 0, is refused."""
     if scalar_kind == "rational":
         return rational_from_string(text)
     if scalar_kind == "float64":
+        exact = rational_from_string(text)
         try:
-            return float(rational_from_string(text))
+            value = float(exact)
         except OverflowError:
             raise ValueError(f"{text!r} is beyond the float64 range") from None
+        if value == 0.0 and exact:
+            raise ValueError(f"{text!r} is nonzero but rounds to 0 in float64")
+        return value
     if scalar_kind == "symbolic":
         return parse_poly(text, nvars)
     raise ValueError(f"unknown scalar kind {scalar_kind!r}")
@@ -132,6 +137,8 @@ class MatrixDocument:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError("invalid JSON: nested too deeply") from None
         if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
             raise ValueError(f"expected schema {SCHEMA!r}")
         n = payload.get("n")
@@ -165,12 +172,14 @@ class MatrixDocument:
         if self.scalar_kind != "symbolic":
             for s in self.mu:
                 parse_scalar(s, self.scalar_kind)
-        for row in self.entries:
+        *upper, bottom = self.entries
+        for row in upper:
             for s in row:
                 parse_scalar(s, self.scalar_kind, self.n)
         one = MultiPoly.one(self.n) if self.scalar_kind == "symbolic" else 1
-        for s in self.entries[-1]:
-            if not (parse_scalar(s, self.scalar_kind, self.n) == one):
+        # Every cell parses before the first bottom-row comparison.
+        for s, value in zip(bottom, [parse_scalar(s, self.scalar_kind, self.n) for s in bottom]):
+            if not (value == one):
                 raise ValueError(f"bottom row entry {s!r} is not 1")
 
     def to_csv(self) -> str:

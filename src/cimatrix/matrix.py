@@ -26,7 +26,8 @@ Three independent determinant oracles witness that identity:
   ``lu_logdet``, whose (sign, log|det|) form stays finite for sizes where
   the plain value would overflow;
 * ``det_cofactor`` -- memoized Laplace expansion for polynomial entries,
-  O(n * 2^n) ring multiplies, guarded by a size cap.
+  at most O(n * 2^n) ring multiplies (only the minors it reaches are
+  formed), guarded by a size cap.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -281,16 +280,19 @@ def lu_logdet(matrix) -> tuple[int, float]:
     return int(sign), float(logabs)
 
 
-@lru_cache(maxsize=8)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
+# Rows of the pair triangle that ``closed_form_logdet`` forms at a time.
+_PAIR_BLOCK = 32
 
 
 def closed_form_logdet(nodes: Sequence[float]) -> tuple[int, float]:
     """(sign, log|det|) of the pairwise-difference product, vectorized.
 
     O(n^2) work on the nodes alone; the counterpart of :func:`lu_logdet`
-    for benchmark-scale sizes.
+    for benchmark-scale sizes.  The differences x_j - x_i, i < j, are laid
+    out row by row (i outer, the order of ``np.triu_indices``) and summed
+    in one ``np.sum``, so the result does not depend on the block size;
+    rows are formed ``_PAIR_BLOCK`` at a time, so no temporary but the
+    differences themselves grows past ``_PAIR_BLOCK`` x n.
     """
     x = np.asarray(nodes, dtype=float)
     if x.ndim != 1 or x.shape[0] == 0:
@@ -298,14 +300,21 @@ def closed_form_logdet(nodes: Sequence[float]) -> tuple[int, float]:
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite float node")
     n = x.shape[0]
-    if n == 1:
-        return 1, 0.0
-    i, j = _pair_indices(n)
-    diffs = x[j] - x[i]
-    if np.any(diffs == 0.0):
-        return 0, float("-inf")
+    diffs = np.empty(n * (n - 1) // 2)
+    columns = np.arange(n - 1)
+    # right[r, c]: in a block that starts at row a, node a+1+c lies right of node a+r.
+    right = columns[None, :] >= columns[:_PAIR_BLOCK, None]
+    start = 0
+    for a in range(0, n - 1, _PAIR_BLOCK):
+        b = min(a + _PAIR_BLOCK, n - 1)
+        rows = (x[a + 1 :] - x[a:b, None])[right[: b - a, : n - 1 - a]]
+        diffs[start : start + rows.size] = rows
+        start += rows.size
     sign = -1 if int(np.count_nonzero(diffs < 0.0)) % 2 else 1
-    return sign, float(np.sum(np.log(np.abs(diffs))))
+    magnitudes = np.abs(diffs, out=diffs)
+    if not magnitudes.all():
+        return 0, float("-inf")
+    return sign, float(np.sum(np.log(magnitudes, out=magnitudes)))
 
 
 def det_cofactor(matrix, size_cap: int = 7):
@@ -317,22 +326,22 @@ def det_cofactor(matrix, size_cap: int = 7):
     position in the subset, times the minor without its column.  That sum
     of products is one ``sum_of_products`` call, which a polynomial ring
     sums in one term map and int, Fraction and float fold in column order.
-    Cost is O(n * 2^n) ring multiplies, hence the cap.
+    Only the minors that expansion reaches are formed (``_reached_minors``),
+    so a zero entry prunes every minor below it that only it would read.
+    Cost is at most O(n * 2^n) ring multiplies, hence the cap.
     """
     m = _rows(matrix)
     n = len(m)
     if n > size_cap:
         raise SizeCapError(f"cofactor expansion capped at size {size_cap}, got {n}")
     zero = zero_like(m[0][0])
+    # Entry c of each row with sign + and -, or None where it is zero.
+    signed_rows = [[None if x == zero else (x, -x) for x in row] for row in m]
     minors = {0: one_like(m[0][0])}
-    for size in range(1, n + 1):
-        # Entry c with sign + and -, or None where it is zero.
-        signed = [None if x == zero else (x, -x) for x in m[n - size]]
+    for signed, masks in zip(reversed(signed_rows), reversed(_reached_minors(signed_rows))):
         next_minors = {}
-        for cols in combinations(range(n), size):
-            mask = 0
-            for c in cols:
-                mask |= 1 << c
+        for mask in masks:
+            cols = [c for c in range(n) if mask >> c & 1]
             next_minors[mask] = sum_of_products(
                 [
                     (signed[c][position & 1], minors[mask ^ (1 << c)])
@@ -343,6 +352,20 @@ def det_cofactor(matrix, size_cap: int = 7):
             )
         minors = next_minors
     return minors[(1 << n) - 1]
+
+
+def _reached_minors(rows: list[list]) -> list[set[int]]:
+    """Column masks of the minors the expansion of ``det_cofactor`` reads,
+    given its rows with None for every zero entry: entry t holds the masks
+    of size n - t, minors on rows t..n-1.  The full mask is read; a minor
+    one row down is read if some read minor drops one of its columns at a
+    nonzero entry of its top row."""
+    n = len(rows)
+    reached = [{(1 << n) - 1}]
+    for row in rows[:-1]:
+        nonzero = [1 << c for c in range(n) if row[c] is not None]
+        reached.append({mask ^ bit for mask in reached[-1] for bit in nonzero if mask & bit})
+    return reached
 
 
 @dataclass
@@ -372,7 +395,10 @@ def compare_determinants(nodes: Sequence, oracle_kind: str) -> DetReport:
         try:
             floats = [float(x) for x in nodes]
         except OverflowError:
-            raise NumericalError("float nodes: a node does not fit in a float") from None
+            floats = None
+        # A nonzero node that rounds to 0.0 does not fit either.
+        if floats is None or any(f == 0.0 and x != 0 for f, x in zip(floats, nodes)):
+            raise NumericalError("float nodes: a node does not fit in a float")
         closed = det_closed_form(floats)
         if not math.isfinite(closed):
             raise NumericalError("float closed form: the product is not finite")

@@ -405,12 +405,15 @@ def vandermonde_product(n: int) -> MultiPoly:
         raise ValueError("need at least one variable")
     u = variables(n)
     result = MultiPoly.one(n)
-    # Row by row (j outer): after each j the partial product is the
-    # pairwise-difference product of u1..u(j+1), with (j+1)! terms, which
-    # keeps every operand as small as it can be.
+    # Row by row (j outer): the row product R_j = prod_{i<j} (uj - ui) has
+    # at most 2^j terms and is formed first, so the partial product, the
+    # pairwise-difference product of u1..u(j+1) with (j+1)! terms, takes
+    # one multiply per row instead of one per factor.
     for j in range(1, n):
-        for i in range(j):
-            result = result * (u[j] - u[i])
+        row = u[j] - u[0]
+        for i in range(1, j):
+            row = row * (u[j] - u[i])
+        result = result * row
     return result
 
 

@@ -149,6 +149,8 @@ def verify_determinant_identity(
 
     Redundant by design: the difference must be the zero polynomial AND the
     ratio of leading coefficients (the constant relating the two) must be 1.
+    The difference is zero exactly when the two term maps are equal, which
+    is what ``==`` compares, so it is never formed.
     """
     _check_cap(n, cap)
     det = _symbolic_det(n)
@@ -156,7 +158,7 @@ def verify_determinant_identity(
     if det.is_zero:
         return CheckResult("determinant-identity", False, "determinant expanded to 0"), None
     constant = det.leading_term()[1] / product.leading_term()[1]
-    difference_zero = (det - product).is_zero
+    difference_zero = det == product
     passed = difference_zero and constant == 1
     witness = f"constant={rational_to_string(constant)} difference={'0' if difference_zero else 'nonzero'}"
     return CheckResult("determinant-identity", passed, witness), constant

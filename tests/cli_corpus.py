@@ -65,16 +65,20 @@ ARGVS += [
     ["det", "--mu=2.5e-3,1e2,-3/7", "--oracle", "bareiss"],
     ["verify", "--max-n", "5", "--json"],
     ["verify", "--max-n", "3"],
+    ["verify", "--max-n", "7", "--cap", "7", "--json"],
     # float runs: pinned by exit code and stderr
     ["gen", "--mu", "0.5,1.75,3.0", "--kind", "float64", "--out", "json"],
     ["gen", "--mu", "0.1,1/3,2.5", "--kind", "float64", "--out", "csv"],
     ["gen", "--mu", "1e200,2e200,3e200", "--kind", "float64"],
     ["gen", "--mu", "1e400", "--kind", "float64"],
+    ["gen", "--mu", "1e-400,0", "--kind", "float64", "--out", "json"],
+    ["gen", "--mu", "1e-320,0", "--kind", "float64", "--out", "csv"],
     ["gen", "--mu", ".5,+1,1_0", "--kind", "float64"],
     ["det", "--mu", "1,2,3", "--oracle", "lu"],
     ["det", "--mu", "1/2,-3/7,5,22/9", "--oracle", "lu"],
     ["det", "--mu", _nodes(range(1, 28)), "--oracle", "lu"],
     ["det", "--mu", _nodes(range(1, 201)), "--oracle", "lu"],
+    ["det", "--mu", "1e-400,0", "--oracle", "lu"],
     ["bench", "--n-list", "2,4", "--repeats", "1", "--seed", "3"],
     # usage and parse errors
     ["gen"],

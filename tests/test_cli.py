@@ -242,6 +242,17 @@ def test_float_overflow_on_finite_nodes_exits_3(capsys, monkeypatch):
     assert_numerical_failure(run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu"), "LU")
 
 
+def test_nonzero_float_node_that_rounds_to_zero_is_refused(capsys):
+    code, out, err = run_cli(capsys, "gen", "--mu", "1e-400,0", "--kind", "float64", "--out", "json")
+    assert (code, out, err) == (2, "", "error: '1e-400' is nonzero but rounds to 0 in float64\n")
+    assert_numerical_failure(run_cli(capsys, "det", "--mu", "1e-400,0", "--oracle", "lu"), "float nodes")
+    # A nonzero subnormal is still a float node.
+    assert run_cli(capsys, "gen", "--mu", "1e-320,0", "--kind", "float64", "--out", "csv") == (
+        0, "0,1e-320\n1,1\n", "")
+    code, out, err = run_cli(capsys, "det", "--mu", "1e-320,0", "--oracle", "lu")
+    assert code == 0 and err == "" and out.startswith("closed_form=-1e-320\n")
+
+
 def test_det_lu_product_overflow_exits_3_without_warning(capsys):
     # At n=27 the LAPACK value is finite (about -3.19e300) but has lost every
     # digit, so the oracle disagrees: exit 3, no numerical failure.
@@ -464,6 +475,48 @@ def test_document_validation_errors():
     ):
         with pytest.raises(ValueError):
             MatrixDocument.from_json(json.dumps({**single, key: value}))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+CELL_TEXTS = st.one_of(
+    st.sampled_from(["1", "0", "-1/2", "2.5e-3", "1e-400", "1e400", "u1", "u2^2 - u1", "1/0", ""]),
+    st.text(alphabet="u0123456789^*/.e+- ", max_size=12),
+)
+
+
+@st.composite
+def near_documents(draw):
+    """Documents with the right schema and shape, and cells drawn from near
+    the scalar grammars, so most draws reach the cell parsers."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["rational", "float64", "symbolic", "other"]))
+    cells = st.lists(CELL_TEXTS, min_size=n, max_size=n)
+    mu = "symbolic" if kind == "symbolic" else draw(cells)
+    entries = draw(st.lists(cells, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        entries[-1] = ["1"] * n
+    return {"schema": "ci-matrix/1", "n": n, "scalar_kind": kind, "mu": mu, "entries": entries}
+
+
+@given(st.one_of(
+    st.text(max_size=40),
+    JSON_VALUES.map(json.dumps),
+    near_documents().map(json.dumps),
+))
+@example("[" * 100_000)  # nested past the interpreter's recursion limit
+@example('{"a": ' * 100_000)
+@example(json.dumps({"schema": "ci-matrix/1", "n": 1, "scalar_kind": "float64",
+                     "mu": ["1e-400"], "entries": [["1"]]}))
+def test_document_from_json_returns_or_raises_value_error(text):
+    try:
+        doc = MatrixDocument.from_json(text)
+    except ValueError:
+        return
+    assert MatrixDocument.from_json(doc.to_json()) == doc
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cimatrix.matrix
 from conftest import GOLDEN_N4_ENTRIES, random_distinct_fractions, recomputed_leave_one_out
 from cimatrix.cli import draw_bench_nodes
 from cimatrix.matrix import (
     NumericalError,
     SizeCapError,
+    _reached_minors,
     build_ci_matrix,
     closed_form_logdet,
     compare_determinants,
@@ -321,6 +323,31 @@ def test_closed_form_logdet():
             assert logabs == pytest.approx(math.log(abs(direct)), rel=1e-12)
 
 
+def triangle_logdet(nodes):
+    """(sign, log|det|) from the pair differences gathered through
+    ``np.triu_indices`` in one step: the reference the blocked
+    ``closed_form_logdet`` must match bit for bit."""
+    x = np.asarray(nodes, dtype=float)
+    i, j = np.triu_indices(x.shape[0], k=1)
+    diffs = x[j] - x[i]
+    if np.any(diffs == 0.0):
+        return 0, float("-inf")
+    sign = -1 if int(np.count_nonzero(diffs < 0.0)) % 2 else 1
+    return sign, float(np.sum(np.log(np.abs(diffs))))
+
+
+def test_closed_form_logdet_is_bit_identical_to_the_whole_triangle():
+    rng = np.random.default_rng(11)
+    sizes = list(range(1, 41)) + [63, 64, 65, 128, 256, 320]
+    for n in sizes:
+        mixed = rng.uniform(-3.0, 3.0, n)
+        for nodes in (draw_bench_nodes(n, 1), list(mixed), list(mixed[::-1] * 1e-3)):
+            assert closed_form_logdet(nodes) == triangle_logdet(nodes), n
+    repeated = list(rng.uniform(-3.0, 3.0, 100))
+    repeated[90] = repeated[3]  # the zero gap lies in a later block
+    assert closed_form_logdet(repeated) == (0, float("-inf"))
+
+
 # ---------------------------------------------------------------------------
 # cofactor oracle
 
@@ -435,6 +462,36 @@ def test_cofactor_agrees_with_bareiss_on_rationals():
             for _ in range(n)
         ]
         assert det_cofactor(rows) == det_bareiss(rows)
+
+
+# Mostly zero: whole minors go unreached, and rows without a nonzero entry
+# make the determinant zero.
+sparse_ints = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+sparse_fractions = st.sampled_from([0, 0, 0, 0, Fraction(1, 2), Fraction(-2, 3), 1, -2])
+
+
+@given(st.one_of(square_matrices(sparse_ints), square_matrices(sparse_fractions)))
+@example([[0, 0, 5], [1, 2, 0], [0, 3, 4]])
+@example([[0, 0], [Fraction(1, 2), 1]])  # a zero top row reaches no minor
+def test_cofactor_agrees_with_bareiss_on_sparse_matrices(rows):
+    assert det_cofactor(rows, size_cap=6) == det_bareiss(rows)
+
+
+def test_cofactor_forms_only_the_minors_it_reaches(monkeypatch):
+    # u1 := 0 leaves the first row (u2*...*u7, 0, ..., 0): below the full
+    # minor the expansion reads only the 2^6 - 1 minors without column 1.
+    n = 7
+    rows = [[entry.substitute(1, 0) for entry in row] for row in symbolic_ci_matrix(n).entries]
+    reached = _reached_minors([[None if x.is_zero else x for x in row] for row in rows])
+    assert reached[0] == {(1 << n) - 1}
+    for size, masks in zip(range(n - 1, 0, -1), reached[1:]):
+        assert masks == {sum(1 << c for c in cols) for cols in combinations(range(1, n), size)}
+    formed = []
+    kernel = cimatrix.matrix.sum_of_products
+    monkeypatch.setattr(cimatrix.matrix, "sum_of_products",
+                        lambda pairs, zero: formed.append(zero) or kernel(pairs, zero))
+    assert det_cofactor(rows) == vandermonde_product(n).substitute(1, 0)
+    assert len(formed) == 1 << (n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cimatrix.multipoly import (
@@ -247,6 +247,26 @@ def test_arithmetic_results_are_canonical(p, q, i, j, value):
 @given(simple_polys)
 def test_render_parse_round_trip(p):
     assert parse_poly(p.render(), 3) == p
+
+
+# Text near the grammar of ``render``, so most draws get past the first split.
+POLY_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="u0123456789^*/.e+- ", max_size=30),
+)
+
+
+@given(POLY_TEXT, st.integers(1, 4))
+@example("u1^" + "9" * 5000, 2)  # past the interpreter's int digit limit
+@example("u1^32767*u1", 1)  # an exponent sum at the limit
+@example("1e4000*u2 - 1e-4000", 2)
+@example("- u1", 1)
+def test_parse_poly_returns_or_raises_value_error(text, nvars):
+    try:
+        poly = parse_poly(text, nvars)
+    except ValueError:
+        return
+    assert parse_poly(poly.render(), nvars) == poly
 
 
 def test_parse_poly_errors():
