@@ -62,6 +62,10 @@ ARGVS += [
     ["gen", "--mu", "1,2,3", "--n", "3", "--out", "csv"],
     ["gen", "--mu", "1/2,2,3"],
     ["det", "--mu", _nodes(range(1, 41)), "--oracle", "bareiss"],
+    # exact results around the interpreter's int -> str digit limit
+    ["det", "--mu", _nodes(range(1, 101))],
+    ["det", "--mu", _nodes(range(1, 131))],
+    ["gen", "--mu=1e1500,2e1500,3e1500,1", "--out", "csv"],
     ["det", "--mu=2.5e-3,1e2,-3/7", "--oracle", "bareiss"],
     ["verify", "--max-n", "5", "--json"],
     ["verify", "--max-n", "3"],
