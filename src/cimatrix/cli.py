@@ -19,8 +19,7 @@ import re
 import statistics
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -90,6 +89,8 @@ class MatrixDocument:
     scalar_kind: str
     mu: list[str] | str  # node strings, or the literal "symbolic"
     entries: list[list[str]]
+    # The matrix ``from_json`` parsed and checked, which ``to_matrix`` returns.
+    _matrix: CIMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_matrix(matrix: CIMatrix, scalar_kind: str) -> "MatrixDocument":
@@ -107,8 +108,11 @@ class MatrixDocument:
         return MatrixDocument(matrix.n, scalar_kind, mu, entries)
 
     def to_matrix(self) -> CIMatrix:
-        """Parse the document back into a matrix of the same form
-        ``build_ci_matrix`` gives: float64 entries as an array."""
+        """Parse the document into a matrix of the same form
+        ``build_ci_matrix`` gives (float64 entries as an array): every cell
+        once, nodes first, then the bottom row is checked to be all ones."""
+        if self._matrix is not None:
+            return self._matrix
         if self.scalar_kind == "symbolic":
             nodes = variables(self.n)
         else:
@@ -117,6 +121,10 @@ class MatrixDocument:
             [parse_scalar(s, self.scalar_kind, self.n) for s in row]
             for row in self.entries
         ]
+        one = MultiPoly.one(self.n) if self.scalar_kind == "symbolic" else 1
+        for s, value in zip(self.entries[-1], rows[-1]):
+            if not (value == one):
+                raise ValueError(f"bottom row entry {s!r} is not 1")
         if self.scalar_kind == "float64":
             return CIMatrix(self.n, nodes, np.array(rows, dtype=float))
         return CIMatrix(self.n, nodes, tuple(tuple(row) for row in rows))
@@ -164,23 +172,8 @@ class MatrixDocument:
         ):
             raise ValueError("entries must be an n x n array of strings")
         doc = MatrixDocument(n, kind, mu, entries)
-        doc.validate()
+        doc._matrix = doc.to_matrix()
         return doc
-
-    def validate(self) -> None:
-        """Every cell parses in its grammar and the bottom row is all ones."""
-        if self.scalar_kind != "symbolic":
-            for s in self.mu:
-                parse_scalar(s, self.scalar_kind)
-        *upper, bottom = self.entries
-        for row in upper:
-            for s in row:
-                parse_scalar(s, self.scalar_kind, self.n)
-        one = MultiPoly.one(self.n) if self.scalar_kind == "symbolic" else 1
-        # Every cell parses before the first bottom-row comparison.
-        for s, value in zip(bottom, [parse_scalar(s, self.scalar_kind, self.n) for s in bottom]):
-            if not (value == one):
-                raise ValueError(f"bottom row entry {s!r} is not 1")
 
     def to_csv(self) -> str:
         return "\n".join(",".join(row) for row in self.entries) + "\n"
@@ -213,17 +206,16 @@ class BenchRecord:
         return f"{self.n},{self.method},{self.wall_time_s:.9f},{self.repeats},{self.result_digest}"
 
 
-def logdet_digest(sign: int, logabs: float, granularity: float = 1e-8) -> str:
+def logdet_digest(sign: int, logabs: float) -> str:
     """Short stable digest of a determinant in (sign, log|det|) form.
 
-    The log-magnitude is quantized to ``granularity`` before hashing so the
-    digests of two methods match whenever they agree to that relative
-    precision.
+    The log-magnitude is quantized to 1e-8 before hashing so the digests of
+    two methods match whenever they agree to that precision.
     """
     if sign == 0:
         payload = "0"
     else:
-        payload = f"{sign}:{round(logabs / granularity)}"
+        payload = f"{sign}:{round(logabs / 1e-8)}"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -288,19 +280,6 @@ def _parse_node_text(text: str, kind: str) -> list:
     return [parse_scalar(piece, kind) for piece in values]
 
 
-@contextmanager
-def _unlimited_int_rendering():
-    """Lift the interpreter's limit on int -> str digits while an exact
-    result is rendered: a valid answer may have any number of digits.
-    Parsing of outside input stays limited."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def cmd_gen(args) -> int:
     if args.symbolic:
         if args.n is None:
@@ -317,8 +296,7 @@ def cmd_gen(args) -> int:
             raise ValueError(f"--n {args.n} does not match {len(nodes)} nodes")
         matrix = build_ci_matrix(nodes)
         kind = args.kind
-    with _unlimited_int_rendering():
-        doc = MatrixDocument.from_matrix(matrix, kind)
+    doc = MatrixDocument.from_matrix(matrix, kind)
     if args.out == "json":
         sys.stdout.write(doc.to_json())
     elif args.out == "csv":
@@ -333,17 +311,13 @@ def cmd_det(args) -> int:
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     nodes = _parse_node_text(args.mu, "rational")
     if args.oracle == "none":
-        value = det_closed_form(nodes)
-        with _unlimited_int_rendering():
-            closed = rational_to_string(value)
-        sys.stdout.write(f"closed_form={closed}\n")
+        sys.stdout.write(f"closed_form={rational_to_string(det_closed_form(nodes))}\n")
         return 0
     report = compare_determinants(nodes, args.oracle)
     if report.exact:
-        with _unlimited_int_rendering():
-            closed = rational_to_string(report.closed_form)
-            oracle = rational_to_string(report.oracle)
-            discrepancy = rational_to_string(report.discrepancy)
+        closed = rational_to_string(report.closed_form)
+        oracle = rational_to_string(report.oracle)
+        discrepancy = rational_to_string(report.discrepancy)
     else:
         closed = float_to_string(report.closed_form)
         oracle = float_to_string(report.oracle)

@@ -40,14 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .multipoly import variables
-from .scalars import (
-    abs_value,
-    exact_div,
-    is_exact,
-    one_like,
-    sum_of_products,
-    zero_like,
-)
+from .scalars import exact_div, is_exact, one_like, sum_of_products, zero_like
 from .symfunc import elem_sym_all, elem_sym_leave_one_out, leave_one_out_table_float
 
 
@@ -418,7 +411,7 @@ class DualityResidual:
     scale: object  # largest |term| seen; normalizes float off-diagonals
 
 
-def vandermonde_duality_residual(nodes: Sequence, matrix: CIMatrix | None = None) -> DualityResidual:
+def vandermonde_duality_residual(nodes: Sequence) -> DualityResidual:
     """Check that CI columns are alternating coefficient vectors.
 
     Column k of the CI-matrix holds, up to alternating signs, the
@@ -435,13 +428,12 @@ def vandermonde_duality_residual(nodes: Sequence, matrix: CIMatrix | None = None
     n = len(nodes)
     if n == 0:
         raise ValueError("node list must not be empty")
-    if matrix is None:
-        matrix = build_ci_matrix(nodes)
+    matrix = build_ci_matrix(nodes)
     zero = zero_like(nodes[0])
     one = one_like(nodes[0])
-    max_offdiag = abs_value(zero)
-    max_diag_rel = abs_value(zero)
-    scale = abs_value(one)
+    max_offdiag = abs(zero)
+    max_diag_rel = abs(zero)
+    scale = abs(one)
     for j in range(1, n + 1):
         powers = [one]
         for _ in range(n - 1):
@@ -451,7 +443,7 @@ def vandermonde_duality_residual(nodes: Sequence, matrix: CIMatrix | None = None
             for h in range(1, n + 1):
                 term = powers[h - 1] * matrix.entry(h, k)
                 total = total - term if (n - h) % 2 else total + term
-                magnitude = abs_value(term)
+                magnitude = abs(term)
                 if magnitude > scale:
                     scale = magnitude
             if j == k:
@@ -459,17 +451,17 @@ def vandermonde_duality_residual(nodes: Sequence, matrix: CIMatrix | None = None
                 for i in range(1, n + 1):
                     if i != k:
                         expected = expected * (nodes[j - 1] - nodes[i - 1])
-                diff = abs_value(total - expected)
+                diff = abs(total - expected)
                 if expected == zero:
                     rel = diff
-                elif diff == abs_value(zero):
-                    rel = abs_value(zero)
+                elif diff == abs(zero):
+                    rel = abs(zero)
                 else:
-                    rel = diff / abs_value(expected)
+                    rel = diff / abs(expected)
                 if rel > max_diag_rel:
                     max_diag_rel = rel
             else:
-                magnitude = abs_value(total)
+                magnitude = abs(total)
                 if magnitude > max_offdiag:
                     max_offdiag = magnitude
     return DualityResidual(max_offdiag, max_diag_rel, scale)

@@ -50,7 +50,7 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import rational_from_string, rational_to_string
+from .scalars import _check_digits, rational_from_string, rational_to_string
 
 Monomial = tuple  # exponent vector, one slot per variable
 
@@ -424,7 +424,8 @@ def parse_poly(text: str, nvars: int) -> MultiPoly:
     an optional leading sign, and ``*``-joined factors per term where each
     factor is a rational coefficient or ``u<k>[^e]``.  Exponents of one
     variable in one term add up, and their sum must stay below
-    ``EXPONENT_LIMIT``.
+    ``EXPONENT_LIMIT``.  An index or exponent with more digits than the
+    interpreter parses is refused before it is read, like node text.
     """
     text = text.strip()
     if not text:
@@ -449,10 +450,12 @@ def parse_poly(text: str, nvars: int) -> MultiPoly:
             factor = factor.strip()
             match = _FACTOR_RE.match(factor)
             if match:
-                index = int(match.group(1))
+                index_text, exponent_text = match.groups("1")
+                _check_digits(max(len(index_text), len(exponent_text)))
+                index = int(index_text)
                 if not 1 <= index <= nvars:
                     raise ValueError(f"variable u{index} out of range in {text!r}")
-                exponents[index - 1] += int(match.group(2) or 1)
+                exponents[index - 1] += int(exponent_text)
             else:
                 coeff *= rational_from_string(factor)
         pairs.append((tuple(exponents), -coeff if negative else coeff))

@@ -14,8 +14,9 @@ concrete scalar families are supported out of the box:
   which plugs into the helpers below through its ``ring_zero``,
   ``ring_one`` and ``ring_sum_of_products`` hooks.
 
-The helpers here (``one_like``, ``exact_div``, ...) are the whole ring
-contract: algorithms never inspect concrete types beyond them.
+The helpers here (``zero_like``, ``one_like``, ``sum_of_products``) are
+the whole ring contract: algorithms never inspect concrete types beyond
+them.  ``exact_div`` is the checked int division of the exact kernels.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ def _check_digits(count: int) -> None:
 
 def rational_to_string(value: int | Fraction) -> str:
     """Render an int or Fraction in the grammar ``rational_from_string``
-    accepts; both carry a normalized numerator and denominator."""
+    accepts; both carry a normalized numerator and denominator.  Any value
+    renders, whatever the interpreter's int -> str digit limit, and the
+    limit is never changed."""
     if value.denominator == 1:
         return _int_to_string(value.numerator)
     return f"{_int_to_string(value.numerator)}/{_int_to_string(value.denominator)}"
@@ -91,13 +94,19 @@ _LEAF_BITS = 1024
 
 
 def _int_to_string(x: int) -> str:
-    """Decimal digits of an int: str() up to ``_STR_BITS`` bits, above that
-    a divide-and-conquer conversion.  The int is split in halves by bits,
-    down to leaves of ``_LEAF_BITS``, and the halves are recombined as
-    ``lo + hi * 2**w`` in ``decimal`` at full precision, whose large
-    multiplies are subquadratic (the method of CPython 3.12's ``_pylong``).
+    """Decimal digits of an int: str() up to ``_STR_BITS`` bits if the bit
+    length alone keeps the digit count within ``sys.get_int_max_str_digits``
+    (an int of b bits has at most floor(b * log10 2) + 1 digits), else a
+    divide-and-conquer conversion that never reads that limit.  The int is
+    split in halves by bits, down to leaves of ``_LEAF_BITS``, and the
+    halves are recombined as ``lo + hi * 2**w`` in ``decimal`` at full
+    precision, whose large multiplies are subquadratic (the method of
+    CPython 3.12's ``_pylong``).
     """
-    if x.bit_length() <= _STR_BITS:
+    bits = x.bit_length()
+    limit = sys.get_int_max_str_digits()
+    # 0.30103 > log10 2, so bits * 30103 // 100000 + 1 bounds the digits.
+    if bits <= _STR_BITS and (not limit or bits * 30103 // 100000 < limit):
         return str(x)
     if x < 0:
         return "-" + _int_to_string(-x)
@@ -195,33 +204,11 @@ def sum_of_products(pairs, zero):
     return total
 
 
-def abs_value(value):
-    """Absolute value for scalars with an ordering (int, Fraction, float).
-
-    Raises TypeError for scalars without one (polynomials), which callers
-    use to fall back to exact zero-testing.
-    """
-    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
-        return abs(value)
-    raise TypeError(f"{type(value).__name__} has no absolute-value ordering")
-
-
-def exact_div(a, b):
-    """Exact division a / b for scalars that support it (int, Fraction).
-
-    This is the primitive fraction-free elimination relies on: the quotient
-    must be representable in the same ring, and a nonzero remainder is a bug
-    in the caller, not a rounding concern.
-    """
-    if isinstance(b, (int, Fraction)) and b == 0:
-        raise ZeroDivisionError("exact division by zero")
-    if isinstance(a, int) and isinstance(b, int):
-        quotient, remainder = divmod(a, b)
-        if remainder != 0:
-            raise ArithmeticError(f"inexact integer division {a} / {b}")
-        return quotient
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) / Fraction(b)
-    raise TypeError(
-        f"exact division is not defined for {type(a).__name__} / {type(b).__name__}"
-    )
+def exact_div(a: int, b: int) -> int:
+    """Exact division of ints, which fraction-free elimination and the
+    deflation of int tables rely on: the quotient must be an int, and a
+    nonzero remainder is a bug in the caller, not a rounding concern."""
+    quotient, remainder = divmod(a, b)
+    if remainder:
+        raise ArithmeticError("inexact integer division")
+    return quotient

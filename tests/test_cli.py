@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 
 from cli_corpus import run
 from conftest import GOLDEN_N4_ENTRIES, pretty_layout
+from cimatrix import cli
 from cimatrix.cli import (
     BENCH_CSV_HEADER,
     MatrixDocument,
     build_parser,
     draw_bench_nodes,
     main,
+    parse_scalar,
     run_bench,
 )
 from cimatrix.matrix import CIMatrix, build_ci_matrix, det_closed_form, symbolic_ci_matrix
+from cimatrix.multipoly import variables
 from cimatrix.scalars import rational_from_string
 
 
@@ -517,6 +520,28 @@ def test_document_from_json_returns_or_raises_value_error(text):
     except ValueError:
         return
     assert MatrixDocument.from_json(doc.to_json()) == doc
+
+
+@pytest.mark.parametrize("kind,nodes", [
+    ("rational", [Fraction(1, 2), 2, -3, 5]),
+    ("float64", [0.5, 1.75, 3.0, -2.25]),
+    ("symbolic", variables(4)),
+])
+def test_document_parses_each_cell_once(kind, nodes, monkeypatch):
+    text = MatrixDocument.from_matrix(build_ci_matrix(nodes), kind).to_json()
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return parse_scalar(*args)
+
+    monkeypatch.setattr(cli, "parse_scalar", counting)
+    doc = MatrixDocument.from_json(text)
+    matrix = doc.to_matrix()
+    n = len(nodes)
+    assert len(calls) == n * n + (0 if kind == "symbolic" else n)
+    monkeypatch.undo()
+    assert matrix == build_ci_matrix(nodes)
 
 
 # ---------------------------------------------------------------------------

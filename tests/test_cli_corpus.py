@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -23,4 +24,21 @@ def test_corpus_entry(entry):
     if "stdout" in entry:
         assert out == entry["stdout"]
     elif "stdout_sha256" in entry:
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
+
+
+def test_exact_results_never_change_the_digit_limit(monkeypatch):
+    # Every det and gen entry pinned by its sha256, among them the exact
+    # results past the interpreter's int -> str digit limit, prints the same
+    # while setting that limit is refused.
+    def refuse(_):
+        raise AssertionError("the CLI changed the interpreter's digit limit")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    entries = [entry for entry in CORPUS if entry["argv"][:1] in (["det"], ["gen"]) and entry["exit"] == 0
+               and "stdout_sha256" in entry]
+    assert len(entries) >= 3
+    for entry in entries:
+        code, out, err = run(entry["argv"])
+        assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -276,6 +277,18 @@ def test_parse_poly_errors():
         parse_poly("", 3)
     with pytest.raises(ValueError):
         parse_poly("u1 & u2", 3)
+
+
+@pytest.mark.parametrize("text", ["u1^" + "9" * 5000, "u" + "9" * 5000, "u" + "0" * 4999 + "1^2"],
+                         ids=["exponent", "index", "zero-padded index"])
+def test_parse_poly_names_the_digit_limit(text):
+    # An index or exponent longer than the interpreter parses gets the
+    # package's own one-line error, before int() sees it.
+    with pytest.raises(ValueError) as caught:
+        parse_poly(text, 2)
+    message = str(caught.value)
+    assert f"{sys.get_int_max_str_digits()} digits" in message and "\n" not in message
+    assert "set_int_max_str_digits" not in message
 
 
 # Exponents from the whole range, with the values next to the field

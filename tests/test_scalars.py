@@ -11,7 +11,6 @@ from conftest import ring_axiom_failures
 from cimatrix.multipoly import MultiPoly
 from cimatrix.scalars import (
     _STR_BITS,
-    abs_value,
     exact_div,
     float_to_string,
     rational_from_string,
@@ -82,6 +81,17 @@ def test_rational_to_string():
     assert rational_to_string(Fraction(5)) == "5"
 
 
+def _str_unlimited(x: int) -> str:
+    """The reference digits: str() with the interpreter's limit lifted here
+    only, never around the call under test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_large_values_render_like_str():
     # Above _STR_BITS bits rational_to_string converts by divide and
     # conquer; its digits must be exactly those of str().
@@ -89,16 +99,44 @@ def test_large_values_render_like_str():
     edge = 1 << _STR_BITS
     values = [edge - 1, edge, edge + 1, 10**9865, 10**9866 - 1, 7**40000]
     values += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (_STR_BITS + 1, 50_000, 200_001)]
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    for x in values:
+        assert rational_to_string(x) == _str_unlimited(x)
+        assert rational_to_string(-x) == _str_unlimited(-x)
+    q = Fraction(-(3**50_000) - 2, 2**70_001)
+    assert rational_to_string(q) == f"{_str_unlimited(q.numerator)}/{_str_unlimited(q.denominator)}"
+
+
+@pytest.mark.parametrize("limit", [None, 640, 0])
+def test_render_crosses_the_digit_limit(limit, monkeypatch):
+    # Ints from just below the interpreter's int -> str digit limit to above
+    # _STR_BITS bits, rendered at the default limit (None), at the smallest
+    # one and with none, while setting the limit is refused.
+    default = sys.get_int_max_str_digits()
+    digits = limit or default
+    rng = random.Random(7)
+    values = [10 ** (digits - 1) - 1, 10 ** (digits - 1), 10**digits - 1, 10**digits, 10**digits + 1,
+              (1 << _STR_BITS) - 1, 1 << _STR_BITS, 10**9900 + 3]
+    edge_bits = int(digits * math.log2(10))
+    values += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in range(edge_bits - 12, edge_bits + 12)]
+    expected = {x: _str_unlimited(x) for x in values}
+    expected.update({2 * x + 1: _str_unlimited(2 * x + 1) for x in values})
+    set_limit = sys.set_int_max_str_digits
+
+    def refuse(_):
+        raise AssertionError("rendering changed the interpreter's digit limit")
+
+    if limit is not None:
+        set_limit(limit)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
     try:
         for x in values:
-            assert rational_to_string(x) == str(x)
-            assert rational_to_string(-x) == str(-x)
-        q = Fraction(-(3**50_000) - 2, 2**70_001)
-        assert rational_to_string(q) == f"{q.numerator}/{q.denominator}"
+            assert rational_to_string(x) == expected[x]
+            assert rational_to_string(-x) == "-" + expected[x]
+            assert rational_to_string(Fraction(-x, 2 * x + 1)) == f"-{expected[x]}/{expected[2 * x + 1]}"
+        assert sys.get_int_max_str_digits() == (default if limit is None else limit)
     finally:
-        sys.set_int_max_str_digits(limit)
+        monkeypatch.undo()
+        set_limit(default)
 
 
 @given(st.fractions(max_denominator=10**6))
@@ -115,12 +153,10 @@ def test_rational_normalization(num, den):
     assert Fraction(q.numerator, q.denominator) == q
 
 
-@given(
-    st.fractions(max_denominator=1000),
-    st.fractions(max_denominator=1000).filter(lambda b: b != 0),
-)
+@given(st.integers(), st.integers().filter(lambda b: b != 0))
 def test_exact_div_recovers_factor(a, b):
-    assert exact_div(a * b, b) == a
+    quotient = exact_div(a * b, b)
+    assert type(quotient) is int and quotient == a
 
 
 def test_exact_div_integers():
@@ -130,8 +166,6 @@ def test_exact_div_integers():
         exact_div(7, 2)
     with pytest.raises(ZeroDivisionError):
         exact_div(3, 0)
-    with pytest.raises(TypeError):
-        exact_div(1.0, 2.0)
 
 
 def test_float_boundary_guards():
@@ -153,13 +187,6 @@ def test_float_to_string_integral_values_render_bare():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_float_render_parse_round_trip(x):
     assert float(rational_from_string(float_to_string(x))) == x
-
-
-def test_abs_value():
-    assert abs_value(Fraction(-3, 2)) == Fraction(3, 2)
-    assert abs_value(-4) == 4
-    with pytest.raises(TypeError):
-        abs_value(MultiPoly.one(2))
 
 
 def test_ring_axioms_rational():
