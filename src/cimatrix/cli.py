@@ -42,6 +42,9 @@ SCHEMA = "ci-matrix/1"
 # Largest `gen --symbolic` size: row h has C(n-1, n-h) terms per entry, so
 # the work grows about 5x per two added nodes; n=12 takes about 0.3 s.
 SYMBOLIC_GEN_CAP = 12
+# Largest `bench` size: the float build holds n x n doubles and takes O(n^3)
+# work, and bench nodes overflow it from n=320 on, so no larger size succeeds.
+BENCH_N_CAP = 1024
 SCALAR_KINDS = ("rational", "float64", "symbolic")
 BENCH_CSV_HEADER = "n,method,wall_time_s,repeats,result_digest"
 
@@ -223,6 +226,8 @@ def draw_bench_nodes(n: int, seed: int) -> list[float]:
     """Reproducible well-separated float nodes (min pairwise gap 0.1)."""
     if n < 1:
         raise ValueError("n must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     rng = np.random.default_rng([seed, n])
     draws = np.sort(rng.uniform(0.0, 2.0, n))
     return [float(x) for x in draws + 0.1 * np.arange(n)]
@@ -354,6 +359,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"malformed --n-list {args.n_list!r}") from None
     if any(n < 1 for n in n_list):
         raise ValueError("every n must be positive")
+    if max(n_list) > BENCH_N_CAP:
+        raise SizeCapError(f"--n-list size {max(n_list)} exceeds the bench cap {BENCH_N_CAP}")
     records, mismatches = run_bench(n_list, args.repeats, args.seed)
     sys.stdout.write(BENCH_CSV_HEADER + "\n")
     for record in records:
@@ -433,9 +440,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(_join_negative_mu(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

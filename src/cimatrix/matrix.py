@@ -26,8 +26,7 @@ Three independent determinant oracles witness that identity:
   ``lu_logdet``, whose (sign, log|det|) form stays finite for sizes where
   the plain value would overflow;
 * ``det_cofactor`` -- memoized Laplace expansion for polynomial entries,
-  at most O(n * 2^n) ring multiplies (only the minors it reaches are
-  formed), guarded by a size cap.
+  O(n * 2^n) ring multiplies, guarded by a size cap.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -319,22 +319,22 @@ def det_cofactor(matrix, size_cap: int = 7):
     position in the subset, times the minor without its column.  That sum
     of products is one ``sum_of_products`` call, which a polynomial ring
     sums in one term map and int, Fraction and float fold in column order.
-    Only the minors that expansion reaches are formed (``_reached_minors``),
-    so a zero entry prunes every minor below it that only it would read.
-    Cost is at most O(n * 2^n) ring multiplies, hence the cap.
+    Cost is O(n * 2^n) ring multiplies, hence the cap.
     """
     m = _rows(matrix)
     n = len(m)
     if n > size_cap:
         raise SizeCapError(f"cofactor expansion capped at size {size_cap}, got {n}")
     zero = zero_like(m[0][0])
-    # Entry c of each row with sign + and -, or None where it is zero.
-    signed_rows = [[None if x == zero else (x, -x) for x in row] for row in m]
     minors = {0: one_like(m[0][0])}
-    for signed, masks in zip(reversed(signed_rows), reversed(_reached_minors(signed_rows))):
+    for size in range(1, n + 1):
+        # Entry c with sign + and -, or None where it is zero.
+        signed = [None if x == zero else (x, -x) for x in m[n - size]]
         next_minors = {}
-        for mask in masks:
-            cols = [c for c in range(n) if mask >> c & 1]
+        for cols in combinations(range(n), size):
+            mask = 0
+            for c in cols:
+                mask |= 1 << c
             next_minors[mask] = sum_of_products(
                 [
                     (signed[c][position & 1], minors[mask ^ (1 << c)])
@@ -345,20 +345,6 @@ def det_cofactor(matrix, size_cap: int = 7):
             )
         minors = next_minors
     return minors[(1 << n) - 1]
-
-
-def _reached_minors(rows: list[list]) -> list[set[int]]:
-    """Column masks of the minors the expansion of ``det_cofactor`` reads,
-    given its rows with None for every zero entry: entry t holds the masks
-    of size n - t, minors on rows t..n-1.  The full mask is read; a minor
-    one row down is read if some read minor drops one of its columns at a
-    nonzero entry of its top row."""
-    n = len(rows)
-    reached = [{(1 << n) - 1}]
-    for row in rows[:-1]:
-        nonzero = [1 << c for c in range(n) if row[c] is not None]
-        reached.append({mask ^ bit for mask in reached[-1] for bit in nonzero if mask & bit})
-    return reached
 
 
 @dataclass

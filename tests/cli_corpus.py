@@ -112,6 +112,8 @@ ARGVS += [
     ["bench", "--n-list", "0"],
     ["bench", "--n-list", "4,x"],
     ["bench", "--n-list", "4", "--repeats", "0"],
+    ["bench", "--n-list", "2", "--seed", "-1"],
+    ["bench", "--n-list", "100000"],
     ["frobnicate"],
     [],
 ]

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import cimatrix.matrix
 from conftest import GOLDEN_N4_ENTRIES, random_distinct_fractions, recomputed_leave_one_out
 from cimatrix.cli import draw_bench_nodes
 from cimatrix.matrix import (
     NumericalError,
     SizeCapError,
-    _reached_minors,
     build_ci_matrix,
     closed_form_logdet,
     compare_determinants,
@@ -464,7 +462,7 @@ def test_cofactor_agrees_with_bareiss_on_rationals():
         assert det_cofactor(rows) == det_bareiss(rows)
 
 
-# Mostly zero: whole minors go unreached, and rows without a nonzero entry
+# Mostly zero: most products are skipped, and rows without a nonzero entry
 # make the determinant zero.
 sparse_ints = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
 sparse_fractions = st.sampled_from([0, 0, 0, 0, Fraction(1, 2), Fraction(-2, 3), 1, -2])
@@ -472,26 +470,9 @@ sparse_fractions = st.sampled_from([0, 0, 0, 0, Fraction(1, 2), Fraction(-2, 3),
 
 @given(st.one_of(square_matrices(sparse_ints), square_matrices(sparse_fractions)))
 @example([[0, 0, 5], [1, 2, 0], [0, 3, 4]])
-@example([[0, 0], [Fraction(1, 2), 1]])  # a zero top row reaches no minor
+@example([[0, 0], [Fraction(1, 2), 1]])  # a zero top row sums no product
 def test_cofactor_agrees_with_bareiss_on_sparse_matrices(rows):
     assert det_cofactor(rows, size_cap=6) == det_bareiss(rows)
-
-
-def test_cofactor_forms_only_the_minors_it_reaches(monkeypatch):
-    # u1 := 0 leaves the first row (u2*...*u7, 0, ..., 0): below the full
-    # minor the expansion reads only the 2^6 - 1 minors without column 1.
-    n = 7
-    rows = [[entry.substitute(1, 0) for entry in row] for row in symbolic_ci_matrix(n).entries]
-    reached = _reached_minors([[None if x.is_zero else x for x in row] for row in rows])
-    assert reached[0] == {(1 << n) - 1}
-    for size, masks in zip(range(n - 1, 0, -1), reached[1:]):
-        assert masks == {sum(1 << c for c in cols) for cols in combinations(range(1, n), size)}
-    formed = []
-    kernel = cimatrix.matrix.sum_of_products
-    monkeypatch.setattr(cimatrix.matrix, "sum_of_products",
-                        lambda pairs, zero: formed.append(zero) or kernel(pairs, zero))
-    assert det_cofactor(rows) == vandermonde_product(n).substitute(1, 0)
-    assert len(formed) == 1 << (n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import cimatrix.verifier
 from cimatrix.matrix import SizeCapError, det_cofactor, symbolic_ci_matrix
-from cimatrix.multipoly import MultiPoly, variables
+from cimatrix.multipoly import MultiPoly, vandermonde_product, variables
 from cimatrix.verifier import (
     verify_determinant_identity,
     verify_duality_probe,
@@ -82,6 +84,61 @@ def test_first_node_zero_block_size3():
 
 def test_first_node_zero_block_size4():
     assert verify_first_node_zero_block(4).passed
+
+
+def with_entry(matrix, h, k, value):
+    rows = [list(row) for row in matrix.entries]
+    rows[h - 1][k - 1] = value
+    return replace(matrix, entries=tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_suite_expands_each_size_once(n, monkeypatch):
+    # Empty caches: the suite forms each matrix and expansion itself.
+    cimatrix.verifier._symbolic_matrix.cache_clear()
+    cimatrix.verifier._symbolic_det.cache_clear()
+    expansions = []
+    expand = cimatrix.verifier.det_cofactor
+    monkeypatch.setattr(cimatrix.verifier, "det_cofactor",
+                        lambda matrix, size_cap: expansions.append(size_cap) or expand(matrix, size_cap))
+    assert verify_suite(n, cap=7).passed
+    assert expansions == [n]
+
+
+def first_node_zero_block_with(monkeypatch, n, matrix, det):
+    # Both cached inputs are replaced, so each test fixes what every check reads.
+    monkeypatch.setattr(cimatrix.verifier, "_symbolic_matrix", lambda size: matrix)
+    monkeypatch.setattr(cimatrix.verifier, "_symbolic_det", lambda size: det)
+    return verify_first_node_zero_block(n)
+
+
+def test_first_node_zero_block_fails_on_a_wrong_trailing_block(monkeypatch):
+    n = 4
+    matrix = symbolic_ci_matrix(n)
+    u3 = variables(n)[2]
+    bad = with_entry(matrix, 3, 2, matrix.entry(3, 2) + u3)
+    result = first_node_zero_block_with(monkeypatch, n, bad, vandermonde_product(n))
+    assert not result.passed
+    assert result.witness == "trailing block is not the CI-matrix of the remaining nodes"
+
+
+def test_first_node_zero_block_fails_on_a_wrong_corner(monkeypatch):
+    n = 4
+    matrix = symbolic_ci_matrix(n)
+    u2 = variables(n)[1]
+    bad = with_entry(matrix, 1, 1, matrix.entry(1, 1) + u2)
+    result = first_node_zero_block_with(monkeypatch, n, bad, vandermonde_product(n))
+    assert not result.passed
+    assert result.witness == "(1,1) entry is not the product of the remaining nodes"
+
+
+def test_first_node_zero_block_fails_on_a_wrong_determinant(monkeypatch):
+    n = 4
+    _, u2, u3, _ = variables(n)
+    det = vandermonde_product(n) + u2 * u3
+    result = first_node_zero_block_with(monkeypatch, n, symbolic_ci_matrix(n), det)
+    assert not result.passed
+    assert result.witness == "determinant does not factor through the trailing block"
 
 
 def test_first_node_zero_block_needs_size_two():
