@@ -41,6 +41,8 @@ MIXED_LIST = "1,1/2,0.25,-3,7/3,2.5"
 REPEATED_LIST = "1,2,1,3/2,0.5"
 LARGE_INT_LIST = _nodes([((i * 37) % 101) - 50 for i in range(16)])
 LARGE_PQ_LIST = _nodes(f"{((i * 53) % 97) - 48}/{2 + i % 8}" for i in range(12))
+# 40 distinct non-integral p/q in lowest terms: k + 1/q with q cycling over 2..9
+PQ_40_LIST = _nodes(f"{(2 + i % 8) * (((i * 53) % 97) - 48) + 1}/{2 + i % 8}" for i in range(40))
 
 EXACT_LISTS = (
     INT_LIST, PQ_LIST, DECIMAL_LIST, INTEGRAL_TEXT_LIST, MIXED_LIST, REPEATED_LIST,
@@ -84,6 +86,9 @@ ARGVS += [
     ["det", "--mu", _nodes(range(1, 201)), "--oracle", "lu"],
     ["det", "--mu", "1e-400,0", "--oracle", "lu"],
     ["bench", "--n-list", "2,4", "--repeats", "1", "--seed", "3"],
+    # long exact Bareiss runs on int and p/q nodes
+    ["det", "--mu", _nodes(range(1, 101)), "--oracle", "bareiss"],
+    ["det", "--mu", PQ_40_LIST, "--oracle", "bareiss"],
     # usage and parse errors
     ["gen"],
     ["gen", "--mu", "1,2", "--symbolic"],

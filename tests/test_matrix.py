@@ -27,7 +27,7 @@ from cimatrix.matrix import (
     vandermonde_duality_residual,
 )
 from cimatrix.multipoly import EXPONENT_LIMIT, MultiPoly, vandermonde_product, variables
-from cimatrix.scalars import one_like, zero_like
+from cimatrix.scalars import exact_div, one_like, zero_like
 
 NODES_123 = [Fraction(1), Fraction(2), Fraction(3)]
 
@@ -200,15 +200,21 @@ def test_bareiss_shape_errors():
         det_bareiss([])
 
 
-def square_matrices(elements):
-    return st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
+@st.composite
+def square_matrices(draw, elements):
+    # Rows and columns times drawn common factors: the trailing blocks of
+    # the elimination then share a content that Bareiss divides out.
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n))
+    row_factors = draw(st.lists(common_factors, min_size=n, max_size=n))
+    column_factors = draw(st.lists(common_factors, min_size=n, max_size=n))
+    return [[x * r * c for x, c in zip(row, column_factors)] for row, r in zip(rows, row_factors)]
 
 
 # Small entries make zero pivots and singular matrices common.
 small_ints = st.integers(-3, 3)
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+common_factors = st.sampled_from((1, 1, 2, 3, 6, -4))
 
 
 @given(square_matrices(small_ints))
@@ -228,6 +234,42 @@ def test_bareiss_matches_cofactor_on_fraction_matrices(rows):
     has_fraction = any(isinstance(x, Fraction) for row in rows for x in row)
     assert type(value) is (Fraction if has_fraction else int)
     assert value == det_cofactor(rows)
+
+
+ci_node_lists = st.one_of(
+    st.lists(st.integers(-999, 999), min_size=1, max_size=20),
+    st.lists(st.builds(Fraction, st.integers(-999, 999), st.integers(1, 9)), min_size=1, max_size=20),
+)
+
+
+@given(ci_node_lists)
+@example(list(range(1, 21)))
+@example([Fraction(1, 2), Fraction(1, 2), Fraction(3)])  # a repeated node: det 0
+def test_bareiss_matches_closed_form_on_ci_matrices(nodes):
+    value = det_bareiss(build_ci_matrix(nodes))
+    expected = det_closed_form(nodes)
+    assert type(value) is type(expected)
+    assert value == expected
+
+
+def test_bareiss_holds_numbers_far_below_the_full_minors(monkeypatch):
+    # On the CI-matrix of 1..48 the full Bareiss minors grow to the 4004
+    # bits of the answer; with each block's content divided out, no quotient
+    # reaches an eighth of that.
+    nodes = list(range(1, 49))
+    matrix = build_ci_matrix(nodes)
+    largest = 0
+
+    def recording_exact_div(a, b):
+        nonlocal largest
+        quotient = exact_div(a, b)
+        largest = max(largest, abs(quotient).bit_length())
+        return quotient
+
+    monkeypatch.setattr("cimatrix.matrix.exact_div", recording_exact_div)
+    value = det_bareiss(matrix)
+    assert value == det_closed_form(nodes)
+    assert 0 < largest < value.bit_length() / 8
 
 
 def test_bareiss_rejects_entries_without_exact_division():
