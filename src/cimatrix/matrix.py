@@ -20,10 +20,11 @@ int gaps, and each result is one Fraction (or an int, on all-int nodes).
 Three independent determinant oracles witness that identity:
 
 * ``det_bareiss`` -- fraction-free elimination, exact over int/Fraction:
-  each row is cleared of denominators and the rows are eliminated smallest
-  first, so the whole recurrence runs on ints, and the common content of
-  each new trailing block is divided out, so on a CI-matrix it holds
-  Schur-complement-sized numbers, not full minors;
+  each row is cleared of denominators, the rows are eliminated smallest
+  first by gcd-reduced cross-multiplication, and each new row is divided
+  by the gcd of its entries, so the recurrence runs on primitive int rows
+  and the scale is two tracked ints; on a CI-matrix the rows stay near the
+  size of the input's entries, not of the full minors;
 * ``det_lu`` -- partial-pivot LU over floats: one LAPACK ``getrf`` in
   ``lu_logdet``, whose (sign, log|det|) form stays finite for sizes where
   the plain value would overflow;
@@ -193,23 +194,23 @@ def _rows(matrix) -> list[list]:
 
 
 def det_bareiss(matrix):
-    """Exact determinant by fraction-free (Bareiss) elimination over int.
+    """Exact determinant by fraction-free elimination on primitive int rows.
 
     Entries must be int or Fraction; anything else raises TypeError.  Row h
     is first scaled by the lcm L_h of its denominators, so the elimination
-    runs on ints and det(M) = det(M') / prod L_h.  The rows are then
-    stably sorted by the bit length of their largest |entry|, smallest
-    first, and the permutation's sign is folded back in: every interior
-    entry of the elimination is a minor of the leading rows, so small rows
-    first keep those entries small (on a CI-matrix the all-ones row leads).
-    After each step the common content g of the new trailing block is
-    divided out, and the held block is the true one over a tracked int
-    sigma: the next step's exact divisor is then the previous true pivot
-    over its gcd with sigma^2, and sigma becomes sigma^2 / that gcd * g.
-    On a CI-matrix the held entries stay near the size of a Schur complement
-    (215 bits on the nodes 1..48, not the 4004 of the full minors).  Every
-    division is exact and checked.  All-int input gives an int; any
-    Fraction entry gives a Fraction.
+    runs on ints and det(M) = det(M') / prod L_h.  The rows are then stably
+    sorted by the bit length of their largest |entry|, smallest first (on a
+    CI-matrix the all-ones row leads), and the permutation's sign is kept.
+    Each step replaces row i by a*row_i - b*row_k, with a = pivot / gcd(pivot,
+    lead) and b = lead / gcd(pivot, lead), and divides the new row by its
+    content c, the gcd of its entries; a row whose lead is 0 stays as it is.
+    Two ints track the scale, num = sign * prod(pivots) * prod(c) and den =
+    prod(L_h) * prod(a), in lowest terms after each step; det = num * last /
+    den.  Every division is by a gcd, exact and checked.  A held row is the
+    Bareiss row over its content, never larger: on the nodes 1..48 none
+    outgrows the input's 206-bit entries, where Bareiss's minors reach the
+    4004 bits of the answer.  All-int input gives an int (ArithmeticError if
+    the result is not integral); any Fraction entry gives a Fraction.
     """
     rows = _rows(matrix)
     n = len(rows)
@@ -226,37 +227,36 @@ def det_bareiss(matrix):
         scale *= lcm
         cleared.append([x.numerator * (lcm // x.denominator) for x in row])
     order = sorted(range(n), key=lambda h: max(abs(x) for x in cleared[h]).bit_length())
-    sign = permutation_sign(order)
+    # m holds the trailing block: from step k on, each row keeps columns k..
     m = [cleared[h] for h in order]
-    # The true Bareiss block is sigma * the held one; prev is the true pivot.
-    prev = sigma = 1
+    num, den = permutation_sign(order), scale
     for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
+        pivot_row = next((r for r in range(k, n) if m[r][0] != 0), None)
         if pivot_row is None:
             return Fraction(0) if has_fraction else 0
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        top = m[k]
-        pivot = top[k]
-        shared = math.gcd(prev, sigma * sigma)
-        divisor = prev // shared
-        g = 0
+            num = -num
+        pivot, *top = m[k]
+        num *= pivot
         for i in range(k + 1, n):
-            row = m[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = exact_div(row[j] * pivot - lead * top[j], divisor)
-            row[k] = 0
-            if g != 1:
-                g = math.gcd(g, *row[k + 1 :])
-        prev, sigma = sigma * pivot, sigma * sigma // shared
-        if g > 1:
-            for row in m[k + 1 :]:
-                row[k + 1 :] = [exact_div(x, g) for x in row[k + 1 :]]
-            sigma *= g
-    det = sign * sigma * m[n - 1][n - 1]
-    return Fraction(det, scale) if has_fraction else det
+            lead, *row = m[i]
+            if lead:
+                g = math.gcd(pivot, lead)
+                a, b = exact_div(pivot, g), exact_div(lead, g)
+                row = [a * x - b * y for x, y in zip(row, top)]
+                c = math.gcd(*row)
+                if c == 0:
+                    return Fraction(0) if has_fraction else 0
+                if c != 1:
+                    row = [exact_div(x, c) for x in row]
+                num *= c
+                den *= a
+            m[i] = row
+        t = math.gcd(num, den)  # else dense input piles up the contents and the a's
+        num, den = exact_div(num, t), exact_div(den, t)
+    num *= m[n - 1][0]
+    return Fraction(num, den) if has_fraction else exact_div(num, den)
 
 
 def det_lu(matrix) -> float:

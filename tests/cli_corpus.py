@@ -43,6 +43,9 @@ LARGE_INT_LIST = _nodes([((i * 37) % 101) - 50 for i in range(16)])
 LARGE_PQ_LIST = _nodes(f"{((i * 53) % 97) - 48}/{2 + i % 8}" for i in range(12))
 # 40 distinct non-integral p/q in lowest terms: k + 1/q with q cycling over 2..9
 PQ_40_LIST = _nodes(f"{(2 + i % 8) * (((i * 53) % 97) - 48) + 1}/{2 + i % 8}" for i in range(40))
+# 32 distinct non-integral p/q in lowest terms, |p/q| < 1000, q cycling over
+# 2..9: the kind of node list the exact benchmark serves
+PQ_32_LIST = _nodes(f"{(2 + i % 8) * (((i * 389) % 1999) - 999) + 1}/{2 + i % 8}" for i in range(32))
 
 EXACT_LISTS = (
     INT_LIST, PQ_LIST, DECIMAL_LIST, INTEGRAL_TEXT_LIST, MIXED_LIST, REPEATED_LIST,
@@ -89,6 +92,7 @@ ARGVS += [
     # long exact Bareiss runs on int and p/q nodes
     ["det", "--mu", _nodes(range(1, 101)), "--oracle", "bareiss"],
     ["det", "--mu", PQ_40_LIST, "--oracle", "bareiss"],
+    ["det", "--mu", PQ_32_LIST, "--oracle", "bareiss"],
     # usage and parse errors
     ["gen"],
     ["gen", "--mu", "1,2", "--symbolic"],

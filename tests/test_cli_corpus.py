@@ -17,7 +17,16 @@ def test_corpus_covers_every_argv():
     assert [entry["argv"] for entry in CORPUS] == ARGVS
 
 
-@pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: " ".join(entry["argv"])[:60])
+def entry_id(entry) -> str:
+    """The argv as one line; past 60 characters, its first 60 and a short
+    sha256 of the whole line, so that each id is unique and follows its argv."""
+    line = " ".join(entry["argv"])
+    if len(line) <= 60:
+        return line
+    return f"{line[:60]}~{hashlib.sha256(line.encode()).hexdigest()[:8]}"
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=entry_id)
 def test_corpus_entry(entry):
     code, out, err = run(entry["argv"])
     assert (code, err) == (entry["exit"], entry["stderr"])

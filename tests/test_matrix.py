@@ -27,7 +27,7 @@ from cimatrix.matrix import (
     vandermonde_duality_residual,
 )
 from cimatrix.multipoly import EXPONENT_LIMIT, MultiPoly, vandermonde_product, variables
-from cimatrix.scalars import exact_div, one_like, zero_like
+from cimatrix.scalars import one_like, zero_like
 
 NODES_123 = [Fraction(1), Fraction(2), Fraction(3)]
 
@@ -217,9 +217,19 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 common_factors = st.sampled_from((1, 1, 2, 3, 6, -4))
 
 
+# Two proportional rows under [1, 1, 1, 1]: the second becomes all zero at step 2.
+ZERO_ROW_MID_ELIMINATION = [[1, 1, 1, 1], [1, 2, 3, 4], [2, 4, 6, 8], [1, 3, 2, 5]]
+# The row [0, 1, 2] already has a 0 lead below the pivot of step 1.
+ZERO_LEAD_BELOW_PIVOT = [[1, 1, 1], [0, 1, 2], [1, 3, 2]]
+
+
 @given(square_matrices(small_ints))
 @example([[0, 1, 1], [2, 3, 4], [5, 6, 0]])  # the reorder keeps row 1 first: a zero pivot
 @example([[1, 1, 2], [1, 1, 3], [1, 1, 1]])  # singular: no pivot left in column 2
+@example(ZERO_ROW_MID_ELIMINATION)
+@example(ZERO_LEAD_BELOW_PIVOT)
+@example([[5]])
+@example([[0]])
 def test_bareiss_matches_cofactor_on_int_matrices(rows):
     value = det_bareiss(rows)
     assert type(value) is int
@@ -229,6 +239,10 @@ def test_bareiss_matches_cofactor_on_int_matrices(rows):
 @given(square_matrices(st.one_of(small_ints, small_fractions)))
 @example([[Fraction(0), 1], [Fraction(1, 2), 7]])  # a zero pivot after the reorder
 @example([[Fraction(1, 2), Fraction(1, 2), 1], [1, 1, 2], [1, 1, 3]])  # singular: returns Fraction(0)
+@example([[Fraction(x, 3) for x in row] for row in ZERO_ROW_MID_ELIMINATION])
+@example([[Fraction(x, 2) for x in row] for row in ZERO_LEAD_BELOW_PIVOT])
+@example([[Fraction(3, 2)]])
+@example([[Fraction(0)]])
 def test_bareiss_matches_cofactor_on_fraction_matrices(rows):
     value = det_bareiss(rows)
     has_fraction = any(isinstance(x, Fraction) for row in rows for x in row)
@@ -252,24 +266,55 @@ def test_bareiss_matches_closed_form_on_ci_matrices(nodes):
     assert value == expected
 
 
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[2, 1], [3, 2]])  # the scale gains a = 2 at step 1 and still divides out
+def test_bareiss_never_returns_a_fraction_on_int_input(rows):
+    value = det_bareiss(rows)
+    assert type(value) is int
+    assert value == det_cofactor(rows)
+
+
 def test_bareiss_holds_numbers_far_below_the_full_minors(monkeypatch):
     # On the CI-matrix of 1..48 the full Bareiss minors grow to the 4004
-    # bits of the answer; with each block's content divided out, no quotient
-    # reaches an eighth of that.
+    # bits of the answer.  Each update zips the row it replaces with the
+    # pivot row, so recording zip's arguments sees every row the kernel
+    # holds: none of them reaches an eighth of the answer's bits.
     nodes = list(range(1, 49))
-    matrix = build_ci_matrix(nodes)
-    largest = 0
+    matrix, expected = build_ci_matrix(nodes), det_closed_form(nodes)
+    largest = updates = 0
 
-    def recording_exact_div(a, b):
-        nonlocal largest
-        quotient = exact_div(a, b)
-        largest = max(largest, abs(quotient).bit_length())
-        return quotient
+    def recording_zip(*rows):
+        nonlocal largest, updates
+        largest = max(largest, *(abs(x).bit_length() for row in rows for x in row))
+        updates += 1
+        return zip(*rows)
 
-    monkeypatch.setattr("cimatrix.matrix.exact_div", recording_exact_div)
+    monkeypatch.setattr("cimatrix.matrix.zip", recording_zip, raising=False)
     value = det_bareiss(matrix)
-    assert value == det_closed_form(nodes)
+    assert value == expected
+    assert updates == 47 * 48 // 2  # no lead is 0 on these nodes
     assert 0 < largest < value.bit_length() / 8
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-999, 999), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[0, 0, 0], [1, 0, 0], [1, 0, 1]])  # a zero row sorts first and is never a pivot
+def test_bareiss_rows_stay_within_hadamards_bound(rows):
+    # A held row is the Bareiss row (minors of the leading rows) over its
+    # content, so no entry exceeds the product of the nonzero rows' norms.
+    bound_squared = math.prod(max(1, sum(x * x for x in row)) for row in rows)
+    largest_squared = 0
+
+    def recording_zip(*held):
+        nonlocal largest_squared
+        largest_squared = max(largest_squared, *(x * x for row in held for x in row))
+        return zip(*held)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("cimatrix.matrix.zip", recording_zip, raising=False)
+        det_bareiss(rows)
+    assert largest_squared <= bound_squared
 
 
 def test_bareiss_rejects_entries_without_exact_division():
