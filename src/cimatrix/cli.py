@@ -42,6 +42,9 @@ SCHEMA = "ci-matrix/1"
 # Largest `gen --symbolic` size: row h has C(n-1, n-h) terms per entry, so
 # the work grows about 5x per two added nodes; n=12 takes about 0.3 s.
 SYMBOLIC_GEN_CAP = 12
+# Largest `verify --max-n`, whatever --cap says: the size-n determinant has
+# n! terms, and n=9 takes about 15 s and 0.5 GB; n=10 would hold 10x the terms.
+VERIFY_N_CAP = 9
 # Largest `bench` size: the float build holds n x n doubles and takes O(n^3)
 # work, and bench nodes overflow it from n=320 on, so no larger size succeeds.
 BENCH_N_CAP = 1024
@@ -342,6 +345,11 @@ def cmd_verify(args) -> int:
         raise ValueError("--max-n must be at least 1")
     if args.max_n > args.cap:
         raise SizeCapError(f"--max-n {args.max_n} exceeds cap {args.cap}")
+    if args.max_n > VERIFY_N_CAP:
+        raise SizeCapError(
+            f"--max-n {args.max_n} exceeds the verify cap {VERIFY_N_CAP}: "
+            f"the size-{args.max_n} determinant has {args.max_n}! terms"
+        )
     reports = [verify_suite(n, args.cap) for n in range(1, args.max_n + 1)]
     if args.json:
         sys.stdout.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")

@@ -28,8 +28,10 @@ Three independent determinant oracles witness that identity:
 * ``det_lu`` -- partial-pivot LU over floats: one LAPACK ``getrf`` in
   ``lu_logdet``, whose (sign, log|det|) form stays finite for sizes where
   the plain value would overflow;
-* ``det_cofactor`` -- memoized Laplace expansion for polynomial entries,
-  O(n * 2^n) ring multiplies, guarded by a size cap.
+* ``det_cofactor`` -- generalized Laplace expansion for polynomial
+  entries: the column-subset minors of the top (n-1)//2 rows and of the
+  bottom rows, memoized, joined in one sum of products; a dense
+  polynomial result has n! terms, so a size cap guards it.
 """
 
 from __future__ import annotations
@@ -328,26 +330,21 @@ def closed_form_logdet(nodes: Sequence[float]) -> tuple[int, float]:
     return sign, float(np.sum(np.log(magnitudes, out=magnitudes)))
 
 
-def det_cofactor(matrix, size_cap: int = 7):
-    """Determinant by Laplace expansion with column-subset memoization.
+def _subset_minors(rows: list[list], n: int, zero, one) -> dict:
+    """Every minor of ``rows`` (k of them, n columns) on a k-subset of the
+    columns, keyed by column bitmask.
 
-    Works over any ring (no division), so this is the oracle of choice for
-    polynomial entries.  The minor on the bottom ``size`` rows and a column
-    subset expands along its top row: each nonzero entry, signed by its
-    position in the subset, times the minor without its column.  That sum
-    of products is one ``sum_of_products`` call, which a polynomial ring
-    sums in one term map and int, Fraction and float fold in column order.
-    Cost is O(n * 2^n) ring multiplies, hence the cap.
+    The minor on the bottom ``size`` rows and a column subset expands along
+    its top row: each nonzero entry, signed by its position in the subset,
+    times the minor without its column.  That sum of products is one
+    ``sum_of_products`` call, which a polynomial ring sums in one term map
+    and int, Fraction and float fold in column order.
     """
-    m = _rows(matrix)
-    n = len(m)
-    if n > size_cap:
-        raise SizeCapError(f"cofactor expansion capped at size {size_cap}, got {n}")
-    zero = zero_like(m[0][0])
-    minors = {0: one_like(m[0][0])}
-    for size in range(1, n + 1):
+    k = len(rows)
+    minors = {0: one}
+    for size in range(1, k + 1):
         # Entry c with sign + and -, or None where it is zero.
-        signed = [None if x == zero else (x, -x) for x in m[n - size]]
+        signed = [None if x == zero else (x, -x) for x in rows[k - size]]
         next_minors = {}
         for cols in combinations(range(n), size):
             mask = 0
@@ -362,7 +359,43 @@ def det_cofactor(matrix, size_cap: int = 7):
                 zero,
             )
         minors = next_minors
-    return minors[(1 << n) - 1]
+    return minors
+
+
+def det_cofactor(matrix, size_cap: int = 7):
+    """Determinant by generalized Laplace expansion along a row split.
+
+    Works over any ring (no division), so this is the oracle of choice for
+    polynomial entries.  The top t = (n-1)//2 rows and the bottom n-t rows
+    each get every minor on a column subset of their size, by the memoized
+    column-subset expansion of ``_subset_minors``; then
+
+        det = sum over |S| = t of sign(S) * T_S * B_(S^c),
+
+    where T_S is the top minor on columns S, B the bottom minor on the
+    other columns, and sign(S) = (-1)^#{(c, d): c in S, d not in S, d < c}.
+    The join is one ``sum_of_products`` call over the subsets S in
+    ``combinations`` order.  Cost is O(2^n) minors of O(n) ring multiplies
+    each, C(n, t) more for the join, and n! terms in a dense polynomial
+    result, hence the cap.
+    """
+    m = _rows(matrix)
+    n = len(m)
+    if n > size_cap:
+        raise SizeCapError(f"cofactor expansion capped at size {size_cap}, got {n}")
+    zero, one = zero_like(m[0][0]), one_like(m[0][0])
+    t = (n - 1) // 2
+    top, bottom = _subset_minors(m[:t], n, zero, one), _subset_minors(m[t:], n, zero, one)
+    full = (1 << n) - 1
+    pairs = []
+    for cols in combinations(range(n), t):
+        mask = sum(1 << c for c in cols)
+        # Column c_i of S passes c_i - i columns outside S.
+        minor = top[mask]
+        if (sum(cols) - t * (t - 1) // 2) & 1:
+            minor = -minor
+        pairs.append((minor, bottom[full ^ mask]))
+    return sum_of_products(pairs, zero)
 
 
 @dataclass

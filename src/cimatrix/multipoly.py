@@ -33,8 +33,9 @@ kernel: it adds every product a_k * b_k of a list of pairs into one map of
 raw sums, checked for guard bits over every key, cancelled ones included.
 ``*`` is its one-pair case; ``+``, ``substitute`` and ``parse_poly`` feed
 it products with constants; ``ring_sum_of_products`` feeds it a whole
-cofactor minor from ``matrix.det_cofactor``, which is then normalized once
-instead of once per product and per partial sum.  ``identify_variables``
+cofactor minor, or the join of the row split, from ``matrix.det_cofactor``,
+which is then normalized once instead of once per product and per partial
+sum.  ``identify_variables``
 moves each exponent in one pass of its own and guard-checks the terms that
 survive, since a merged exponent past the limit may cancel.
 
@@ -45,10 +46,11 @@ operation returns a fresh polynomial.
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import _check_digits, rational_from_string, rational_to_string
 
@@ -71,22 +73,28 @@ def _guard_mask(nvars: int) -> int:
     return sum((EXPONENT_LIMIT << _shift(nvars, slot)) for slot in range(nvars))
 
 
+@lru_cache(maxsize=32)
+def _fields(nvars: int) -> struct.Struct:
+    # One big-endian unsigned short per FIELD_BITS = 16 bit field, u1 first.
+    return struct.Struct(f">{nvars}H")
+
+
 def _unpack(key: int, nvars: int) -> Monomial:
-    return tuple((key >> _shift(nvars, slot)) & _FIELD_MASK for slot in range(nvars))
+    return _fields(nvars).unpack(key.to_bytes(2 * nvars, "big"))
 
 
-def _degree(key: int) -> int:
-    degree = 0
-    while key:
-        degree += key & _FIELD_MASK
-        key >>= FIELD_BITS
-    return degree
+def _degrees(keys: Iterable[int], nvars: int) -> Iterator[int]:
+    """The total degree of each key: the sum of its fields, one unpack each."""
+    unpack, size = _fields(nvars).unpack, 2 * nvars
+    return (sum(unpack(key.to_bytes(size, "big"))) for key in keys)
 
 
-def _term_order_key(key: int):
-    # Graded-lex display order: total degree descending, then exponent
-    # vector ascending (u1's exponent most significant), which is the key.
-    return (-_degree(key), key)
+def _graded(terms: dict, nvars: int) -> Iterator[tuple[int, int]]:
+    """(-total degree, key) for each key of ``terms``.  Ordered ascending,
+    these pairs are the graded-lex display order: total degree descending,
+    then exponent vector ascending (u1's exponent most significant), which
+    is the key."""
+    return zip([-degree for degree in _degrees(terms, nvars)], terms)
 
 
 _UNIT = {0: 1}  # the term map of the constant 1
@@ -213,13 +221,13 @@ class MultiPoly:
 
     def total_degrees(self) -> set[int]:
         """The set of total degrees present; empty for the zero polynomial."""
-        return set(map(_degree, self._terms))
+        return set(_degrees(self._terms, self.nvars))
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Leading (monomial, coefficient) in canonical order; zero poly is an error."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        key = min(self._terms, key=_term_order_key)
+        _, key = min(_graded(self._terms, self.nvars))
         return _unpack(key, self.nvars), Fraction(self._terms[key])
 
     # -- arithmetic ----------------------------------------------------------
@@ -312,7 +320,12 @@ class MultiPoly:
         groups: dict = {}  # e -> the terms with u<index>^e, that field cleared
         for key, coeff in self._terms.items():
             groups.setdefault((key >> shift) & _FIELD_MASK, {})[key & ~field] = coeff
-        terms = _sum_products((rest, {0: value**e}) for e, rest in groups.items())
+        # A group whose factor value**e is 0 adds nothing.  Its keys come from
+        # this canonical polynomial with one field cleared, so leaving them
+        # out of the guard check of the sum loses nothing.
+        terms = _sum_products(
+            (rest, {0: factor}) for e, rest in groups.items() if (factor := value**e)
+        )
         return MultiPoly._canonical(self.nvars, terms)
 
     def identify_variables(self, keep: int, replace: int) -> "MultiPoly":
@@ -361,7 +374,7 @@ class MultiPoly:
         if self.is_zero:
             return "0"
         pieces: list[str] = []
-        for position, key in enumerate(sorted(self._terms, key=_term_order_key)):
+        for position, (_, key) in enumerate(sorted(_graded(self._terms, self.nvars))):
             coeff = self._terms[key]
             factors = []
             for slot, e in enumerate(_unpack(key, self.nvars)):

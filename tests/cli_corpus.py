@@ -116,6 +116,7 @@ ARGVS += [
     ["det", "--mu", "1,2,3", "--oracle", "lu", "--tol", "-1"],
     ["det", "--mu", "-1,2"],
     ["verify", "--max-n", "99"],
+    ["verify", "--max-n", "10", "--cap", "10"],
     ["verify", "--max-n", "0"],
     ["verify"],
     ["bench", "--n-list", "0"],

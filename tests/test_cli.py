@@ -357,6 +357,16 @@ def test_verify_cap_guard(capsys):
     assert "cap" in err
 
 
+def test_verify_refuses_sizes_above_its_ceiling_before_expanding(capsys, monkeypatch):
+    def expanding_suite(n, cap):
+        raise AssertionError(f"expanded size {n}")
+
+    monkeypatch.setattr("cimatrix.cli.verify_suite", expanding_suite)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "10", "--cap", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-n 10 exceeds the verify cap 9: the size-10 determinant has 10! terms\n"
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     from cimatrix.verifier import CheckResult, VerificationReport
 

@@ -26,7 +26,13 @@ from cimatrix.matrix import (
     symbolic_ci_matrix,
     vandermonde_duality_residual,
 )
-from cimatrix.multipoly import EXPONENT_LIMIT, MultiPoly, vandermonde_product, variables
+from cimatrix.multipoly import (
+    EXPONENT_LIMIT,
+    MultiPoly,
+    _sum_products,
+    vandermonde_product,
+    variables,
+)
 from cimatrix.scalars import one_like, zero_like
 
 NODES_123 = [Fraction(1), Fraction(2), Fraction(3)]
@@ -470,24 +476,79 @@ def leibniz_det(rows):
 
 
 def folded_cofactor(rows):
-    """The column-subset expansion folded one signed product at a time from
-    zero: the order in which int, Fraction and float must still be summed."""
+    """The row-split expansion folded one signed product at a time from
+    zero: the order in which int, Fraction and float must still be summed.
+    The top (n-1)//2 rows and the bottom rows each get their column-subset
+    minors, and the join runs over the top subsets in ``combinations`` order."""
     n = len(rows)
+    t = (n - 1) // 2
     zero = zero_like(rows[0][0])
-    minors = {0: one_like(rows[0][0])}
+
+    def subset_minors(block):
+        minors = {0: one_like(rows[0][0])}
+        for size in range(1, len(block) + 1):
+            row = block[len(block) - size]
+            next_minors = {}
+            for cols in combinations(range(n), size):
+                mask = sum(1 << c for c in cols)
+                det = zero
+                for position, c in enumerate(cols):
+                    if not (row[c] == zero):
+                        term = row[c] * minors[mask ^ (1 << c)]
+                        det = det - term if position % 2 else det + term
+                next_minors[mask] = det
+            minors = next_minors
+        return minors
+
+    top, bottom = subset_minors(rows[:t]), subset_minors(rows[t:])
+    det = zero
+    for cols in combinations(range(n), t):
+        mask = sum(1 << c for c in cols)
+        # sign(S): the pairs (c, d) with c in S, d outside S and d < c
+        passed = sum(1 for c in cols for d in range(c) if d not in cols)
+        term = top[mask] * bottom[(1 << n) - 1 - mask]
+        det = det - term if passed % 2 else det + term
+    return det
+
+
+def permanent(rows):
+    """perm(rows) over exact Fractions, by the unsigned column-subset recursion."""
+    n = len(rows)
+    sums = {0: Fraction(1)}
     for size in range(1, n + 1):
         row = rows[n - size]
-        next_minors = {}
-        for cols in combinations(range(n), size):
-            mask = sum(1 << c for c in cols)
-            det = zero
-            for position, c in enumerate(cols):
-                if not (row[c] == zero):
-                    term = row[c] * minors[mask ^ (1 << c)]
-                    det = det - term if position % 2 else det + term
-            next_minors[mask] = det
-        minors = next_minors
-    return minors[(1 << n) - 1]
+        sums = {
+            mask: sum(row[c] * sums[mask ^ (1 << c)] for c in range(n) if mask >> c & 1)
+            for mask in (sum(1 << c for c in cols) for cols in combinations(range(n), size))
+        }
+    return sums[(1 << n) - 1]
+
+
+def float_cofactor_error_bound(rows) -> Fraction:
+    """A forward-error bound for ``det_cofactor`` on float rows.
+
+    Each of the n! signed entry products reaches the result through at most
+    K roundings.  A fold of m products from zero rounds at most m-1 times,
+    so level s of either block rounds at most s times (one multiply, a fold
+    of at most s products), and the join C(n, t) times.  So K = t(t+1)/2 + (n-t)(n-t+1)/2 + C(n, t), and (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1)
+
+        |fl(det) - det| <= gamma_K * perm(|A|),  gamma_K = K*u / (1 - K*u).
+
+    A product may also underflow, losing up to 2^-1075 absolutely; there are
+    at most n^2 * 2^n of them, and later operations carry each loss by at
+    most n! * a^n, a = max(1, max |entry|), which the
+    n^2 * 2^n * n! * a^n * 2^-1073 term covers.
+    """
+    n = len(rows)
+    t = (n - 1) // 2
+    k = t * (t + 1) // 2 + (n - t) * (n - t + 1) // 2 + math.comb(n, t)
+    u = Fraction(1, 2**53)
+    gamma = k * u / (1 - k * u)
+    magnitudes = [[abs(Fraction(x)) for x in row] for row in rows]
+    largest = max(1, *(x for row in magnitudes for x in row))
+    underflow = Fraction(n * n * 2**n * math.factorial(n), 2**1073) * largest**n
+    return gamma * permanent(magnitudes) + underflow
 
 
 @st.composite
@@ -529,6 +590,10 @@ def test_cofactor_guard_on_products_that_cancel():
     square_matrices(st.one_of(small_ints, small_fractions)),
     square_matrices(st.floats(-4, 4)),
 ))
+# The row split sums this matrix to -1196.931; the bottom-up expansion,
+# folded one row at a time, gave -1196.9309999999998.
+@example([[3.8, -4.0, 2.2, 3.7, -2.7], [-2.7, -1.5, -2.4, 3.0, 1.0], [-2.5, 3.7, -2.4, 3.7, -0.9],
+          [-3.8, -0.7, 3.5, -1.9, -1.3], [2.5, 0.7, 0.8, 1.7, -3.5]])
 def test_cofactor_on_scalars_keeps_values_and_types(rows):
     value = det_cofactor(rows, size_cap=6)
     expected = folded_cofactor(rows)
@@ -536,17 +601,47 @@ def test_cofactor_on_scalars_keeps_values_and_types(rows):
     assert value == expected
     if isinstance(value, float):  # bit for bit: the sign of a zero too
         assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+        exact = det_bareiss([[Fraction(x) for x in row] for row in rows])
+        assert abs(Fraction(value) - exact) <= float_cofactor_error_bound(rows)
 
 
 def test_cofactor_agrees_with_bareiss_on_rationals():
+    # n = 1..8 covers both parities of the row split, t = (n-1)//2 top rows.
     rng = random.Random(29)
     for _ in range(10):
-        n = rng.randint(1, 5)
+        n = rng.randint(1, 8)
         rows = [
             [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
             for _ in range(n)
         ]
-        assert det_cofactor(rows) == det_bareiss(rows)
+        assert det_cofactor(rows, size_cap=n) == det_bareiss(rows)
+    for n in range(1, 9):
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        assert det_cofactor(rows, size_cap=n) == det_bareiss(rows)
+
+
+def test_cofactor_symbolic_n8_is_the_vandermonde_product():
+    assert det_cofactor(symbolic_ci_matrix(8), size_cap=8) == vandermonde_product(8)
+
+
+def test_cofactor_splits_the_rows_to_cut_term_products(monkeypatch):
+    # Every term product of the expansion goes through the one product
+    # kernel, so wrapping it counts them: the one-sided expansion along the
+    # rows from the bottom does 93,289 at n=7, the row split 32,284.
+    matrix, expected = symbolic_ci_matrix(7), vandermonde_product(7)
+    products = 0
+
+    def counting(pairs):
+        nonlocal products
+        pairs = list(pairs)
+        products += sum(len(a) * len(b) for a, b in pairs)
+        return _sum_products(pairs)
+
+    monkeypatch.setattr("cimatrix.multipoly._sum_products", counting)
+    value = det_cofactor(matrix, size_cap=7)
+    monkeypatch.undo()
+    assert value == expected
+    assert 0 < products <= 40_000
 
 
 # Mostly zero: most products are skipped, and rows without a nonzero entry
