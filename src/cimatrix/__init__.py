@@ -24,7 +24,7 @@ from .matrix import (
     symbolic_ci_matrix,
     vandermonde_duality_residual,
 )
-from .multipoly import MultiPoly, parse_poly, vandermonde_product, variables
+from .multipoly import MultiPoly, vandermonde_product, variables
 from .scalars import float_to_string, rational_from_string, rational_to_string
 from .verifier import DEFAULT_CAP, verify_suite
 
@@ -45,7 +45,6 @@ __all__ = [
     "det_lu",
     "float_to_string",
     "lu_logdet",
-    "parse_poly",
     "rational_from_string",
     "rational_to_string",
     "symbolic_ci_matrix",

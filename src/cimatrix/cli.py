@@ -19,7 +19,7 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .matrix import (
     det_closed_form,
     lu_logdet,
 )
-from .multipoly import MultiPoly, parse_poly, variables
+from .multipoly import variables
 from .scalars import float_to_string, rational_from_string, rational_to_string
 from .verifier import DEFAULT_CAP, verify_suite
 
@@ -66,8 +66,8 @@ def render_scalar(value, scalar_kind: str) -> str:
     raise ValueError(f"unknown scalar kind {scalar_kind!r}")
 
 
-def parse_scalar(text: str, scalar_kind: str, nvars: int = 0):
-    """Every kind reads one grammar (``rational_from_string``); a float64
+def parse_scalar(text: str, scalar_kind: str):
+    """Both kinds read one grammar (``rational_from_string``); a float64
     scalar is the correctly rounded value of the exact one, and text whose
     value overflows, or is nonzero and rounds to 0, is refused."""
     if scalar_kind == "rational":
@@ -81,22 +81,19 @@ def parse_scalar(text: str, scalar_kind: str, nvars: int = 0):
         if value == 0.0 and exact:
             raise ValueError(f"{text!r} is nonzero but rounds to 0 in float64")
         return value
-    if scalar_kind == "symbolic":
-        return parse_poly(text, nvars)
     raise ValueError(f"unknown scalar kind {scalar_kind!r}")
 
 
 @dataclass
 class MatrixDocument:
-    """Wire form of a CI-matrix: every scalar is a string in the grammar of
-    its kind, so the JSON and CSV forms are stable across platforms."""
+    """Writer of the wire form of a CI-matrix: every scalar is a string in
+    the grammar of its kind, so the JSON and CSV forms are stable across
+    platforms.  The package writes documents and reads none."""
 
     n: int
     scalar_kind: str
     mu: list[str] | str  # node strings, or the literal "symbolic"
     entries: list[list[str]]
-    # The matrix ``from_json`` parsed and checked, which ``to_matrix`` returns.
-    _matrix: CIMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_matrix(matrix: CIMatrix, scalar_kind: str) -> "MatrixDocument":
@@ -113,28 +110,6 @@ class MatrixDocument:
         ]
         return MatrixDocument(matrix.n, scalar_kind, mu, entries)
 
-    def to_matrix(self) -> CIMatrix:
-        """Parse the document into a matrix of the same form
-        ``build_ci_matrix`` gives (float64 entries as an array): every cell
-        once, nodes first, then the bottom row is checked to be all ones."""
-        if self._matrix is not None:
-            return self._matrix
-        if self.scalar_kind == "symbolic":
-            nodes = variables(self.n)
-        else:
-            nodes = tuple(parse_scalar(s, self.scalar_kind) for s in self.mu)
-        rows = [
-            [parse_scalar(s, self.scalar_kind, self.n) for s in row]
-            for row in self.entries
-        ]
-        one = MultiPoly.one(self.n) if self.scalar_kind == "symbolic" else 1
-        for s, value in zip(self.entries[-1], rows[-1]):
-            if not (value == one):
-                raise ValueError(f"bottom row entry {s!r} is not 1")
-        if self.scalar_kind == "float64":
-            return CIMatrix(self.n, nodes, np.array(rows, dtype=float))
-        return CIMatrix(self.n, nodes, tuple(tuple(row) for row in rows))
-
     def to_json(self) -> str:
         payload = {
             "schema": SCHEMA,
@@ -144,42 +119,6 @@ class MatrixDocument:
             "entries": self.entries,
         }
         return json.dumps(payload, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "MatrixDocument":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ValueError("invalid JSON: nested too deeply") from None
-        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
-            raise ValueError(f"expected schema {SCHEMA!r}")
-        n = payload.get("n")
-        kind = payload.get("scalar_kind")
-        mu = payload.get("mu")
-        entries = payload.get("entries")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError("n must be a positive integer")
-        if kind not in SCALAR_KINDS:
-            raise ValueError(f"unknown scalar kind {kind!r}")
-        if kind == "symbolic":
-            if mu != "symbolic":
-                raise ValueError('symbolic documents carry mu = "symbolic"')
-        else:
-            if not isinstance(mu, list) or len(mu) != n or any(
-                not isinstance(s, str) for s in mu
-            ):
-                raise ValueError("mu must list one scalar string per node")
-        if not isinstance(entries, list) or len(entries) != n or any(
-            not isinstance(row, list) or len(row) != n
-            or any(not isinstance(s, str) for s in row)
-            for row in entries
-        ):
-            raise ValueError("entries must be an n x n array of strings")
-        doc = MatrixDocument(n, kind, mu, entries)
-        doc._matrix = doc.to_matrix()
-        return doc
 
     def to_csv(self) -> str:
         return "\n".join(",".join(row) for row in self.entries) + "\n"
@@ -290,6 +229,8 @@ def _parse_node_text(text: str, kind: str) -> list:
 
 def cmd_gen(args) -> int:
     if args.symbolic:
+        if args.kind is not None:
+            raise ValueError("--kind applies to --mu nodes, not to --symbolic")
         if args.n is None:
             raise ValueError("--symbolic requires --n")
         if args.n < 1:
@@ -299,11 +240,11 @@ def cmd_gen(args) -> int:
         matrix = build_ci_matrix(variables(args.n))
         kind = "symbolic"
     else:
-        nodes = _parse_node_text(args.mu, args.kind)
+        kind = args.kind or "rational"
+        nodes = _parse_node_text(args.mu, kind)
         if args.n is not None and args.n != len(nodes):
             raise ValueError(f"--n {args.n} does not match {len(nodes)} nodes")
         matrix = build_ci_matrix(nodes)
-        kind = args.kind
     doc = MatrixDocument.from_matrix(matrix, kind)
     if args.out == "json":
         sys.stdout.write(doc.to_json())
@@ -402,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--mu", help="comma-separated node values (u1 first)")
     source.add_argument("--symbolic", action="store_true", help="symbolic nodes u1..un")
     gen.add_argument("--n", type=int, help="node count (required with --symbolic)")
-    gen.add_argument("--kind", choices=("rational", "float64"), default="rational",
-                     help="scalar kind for --mu nodes")
+    gen.add_argument("--kind", choices=("rational", "float64"),
+                     help="scalar kind for --mu nodes (default rational)")
     gen.add_argument("--out", choices=("json", "csv", "pretty"), default="pretty")
     gen.set_defaults(handler=cmd_gen)
 

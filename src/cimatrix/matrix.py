@@ -75,15 +75,6 @@ class CIMatrix:
         if isinstance(self.entries, np.ndarray):
             self.entries.flags.writeable = False
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CIMatrix):
-            return NotImplemented
-        if isinstance(self.entries, np.ndarray) or isinstance(other.entries, np.ndarray):
-            same_entries = bool(np.array_equal(self.entries, other.entries))
-        else:
-            same_entries = self.entries == other.entries
-        return self.n == other.n and self.nodes == other.nodes and same_entries
-
     def entry(self, h: int, k: int):
         return self.entries[h - 1][k - 1]
 

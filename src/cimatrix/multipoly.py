@@ -20,10 +20,10 @@ symbolic determinant multiply as machine ints.  ``MultiPoly.terms`` is a
 decoded, read-only view of that map: exponent tuple -> nonzero Fraction.
 
 That canonical form is enforced in two places.  Input from outside the
-program -- ``MultiPoly(nvars, terms)``, ``constant``, ``variable`` and
-``parse_poly`` -- goes through the validating constructor, which checks
-arity and that every exponent is an int in [0, EXPONENT_LIMIT), and converts
-every coefficient through Fraction.  Arithmetic results are finished by
+program -- ``MultiPoly(nvars, terms)``, ``constant`` and ``variable`` --
+goes through the validating constructor, which checks arity and that every
+exponent is an int in [0, EXPONENT_LIMIT), and converts every coefficient
+through Fraction.  Arithmetic results are finished by
 ``_canonical_terms``, the one place where the guard bits are checked, zero
 sums dropped and integral coefficients stored as int, and wrapped without
 the outside-input checks by ``MultiPoly._canonical``.
@@ -31,13 +31,13 @@ the outside-input checks by ``MultiPoly._canonical``.
 Like terms are added in two loops.  ``_sum_products`` is the one product
 kernel: it adds every product a_k * b_k of a list of pairs into one map of
 raw sums, checked for guard bits over every key, cancelled ones included.
-``*`` is its one-pair case; ``+``, ``substitute`` and ``parse_poly`` feed
-it products with constants; ``ring_sum_of_products`` feeds it a whole
-cofactor minor, or the join of the row split, from ``matrix.det_cofactor``,
-which is then normalized once instead of once per product and per partial
-sum.  ``identify_variables``
-moves each exponent in one pass of its own and guard-checks the terms that
-survive, since a merged exponent past the limit may cancel.
+``*`` is its one-pair case; ``+`` and ``substitute`` feed it products
+with constants; ``ring_sum_of_products`` feeds it a whole cofactor minor,
+or the join of the row split, from ``matrix.det_cofactor``, which is then
+normalized once instead of once per product and per partial sum.
+``identify_variables`` moves each exponent in one pass of its own and
+guard-checks the terms that survive, since a merged exponent past the limit
+may cancel.
 
 Values are immutable by convention: no method mutates ``self``, every
 operation returns a fresh polynomial.
@@ -45,22 +45,19 @@ operation returns a fresh polynomial.
 
 from __future__ import annotations
 
-import re
 import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalars import _check_digits, rational_from_string, rational_to_string
+from .scalars import rational_to_string
 
 Monomial = tuple  # exponent vector, one slot per variable
 
 FIELD_BITS = 16
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)  # exponents lie in [0, EXPONENT_LIMIT)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
-
-_FACTOR_RE = re.compile(r"u([0-9]+)(?:\^([0-9]+))?\Z")
 
 
 def _shift(nvars: int, slot: int) -> int:
@@ -263,12 +260,6 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -277,20 +268,6 @@ class MultiPoly:
         return MultiPoly._canonical(self.nvars, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.one(self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -370,7 +347,12 @@ class MultiPoly:
     # -- rendering ------------------------------------------------------------
 
     def render(self) -> str:
-        """Canonical textual form, e.g. ``u2*u3^2 - u2^2*u3 + 1/2``."""
+        """Canonical textual form, e.g. ``u2*u3^2 - u2^2*u3 + 1/2``.
+
+        Terms run by total degree descending, then exponent vector
+        ascending.  A coefficient of magnitude 1 is left out of a
+        non-constant term.  The first term carries only a leading ``-``;
+        the others are joined by `` + `` or `` - ``.  Zero is ``0``."""
         if self.is_zero:
             return "0"
         pieces: list[str] = []
@@ -428,49 +410,3 @@ def vandermonde_product(n: int) -> MultiPoly:
             row = row * (u[j] - u[i])
         result = result * row
     return result
-
-
-def parse_poly(text: str, nvars: int) -> MultiPoly:
-    """Parse the canonical rendering back into a polynomial.
-
-    Accepts what ``render`` produces: terms separated by `` + `` / `` - ``,
-    an optional leading sign, and ``*``-joined factors per term where each
-    factor is a rational coefficient or ``u<k>[^e]``.  Exponents of one
-    variable in one term add up, and their sum must stay below
-    ``EXPONENT_LIMIT``.  An index or exponent with more digits than the
-    interpreter parses is refused before it is read, like node text.
-    """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polynomial text")
-    if text == "0":
-        return MultiPoly.zero(nvars)
-    normalized = text
-    if normalized.startswith("- "):
-        raise ValueError(f"malformed polynomial {text!r}")
-    if normalized.startswith("-"):
-        normalized = "-" + normalized[1:].lstrip()
-    chunks = normalized.replace(" - ", " + -").split(" + ")
-    pairs = []
-    for chunk in chunks:
-        chunk = chunk.strip()
-        negative = chunk.startswith("-")
-        if negative:
-            chunk = chunk[1:]
-        coeff = Fraction(1)
-        exponents = [0] * nvars
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            match = _FACTOR_RE.match(factor)
-            if match:
-                index_text, exponent_text = match.groups("1")
-                _check_digits(max(len(index_text), len(exponent_text)))
-                index = int(index_text)
-                if not 1 <= index <= nvars:
-                    raise ValueError(f"variable u{index} out of range in {text!r}")
-                exponents[index - 1] += int(exponent_text)
-            else:
-                coeff *= rational_from_string(factor)
-        pairs.append((tuple(exponents), -coeff if negative else coeff))
-    terms = [MultiPoly(nvars, {monomial: coeff})._terms for monomial, coeff in pairs]
-    return MultiPoly._canonical(nvars, _sum_products((t, _UNIT) for t in terms))

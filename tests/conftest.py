@@ -6,11 +6,12 @@ then exponent tuple ascending): row h, column k holds e_{4-h} of the
 symbolic nodes u1..u4 with uk removed.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
-from cimatrix.scalars import one_like, zero_like
+from cimatrix.scalars import one_like, rational_from_string, zero_like
 from cimatrix.symfunc import elem_sym_all
 
 GOLDEN_N4_ENTRIES = [
@@ -24,6 +25,22 @@ GOLDEN_N4_ENTRIES = [
     ["u4 + u3 + u2", "u4 + u3 + u1", "u4 + u2 + u1", "u3 + u2 + u1"],
     ["1", "1", "1", "1"],
 ]
+
+
+def read_gen_json(text: str) -> dict:
+    """The payload of a ``gen --out json`` document, with every rational
+    node and cell parsed by ``rational_from_string`` and every float64 one
+    read as ``float`` of that value; symbolic cells stay strings."""
+    payload = json.loads(text)
+    assert payload["schema"] == "ci-matrix/1"
+    kind = payload["scalar_kind"]
+    if kind != "symbolic":
+        read = float if kind == "float64" else (lambda value: value)
+        payload["mu"] = [read(rational_from_string(s)) for s in payload["mu"]]
+        payload["entries"] = [
+            [read(rational_from_string(s)) for s in row] for row in payload["entries"]
+        ]
+    return payload
 
 
 def pretty_layout(entries) -> str:

@@ -10,19 +10,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cli_corpus import run
-from conftest import GOLDEN_N4_ENTRIES, pretty_layout
-from cimatrix import cli
-from cimatrix.cli import (
-    BENCH_CSV_HEADER,
-    MatrixDocument,
-    build_parser,
-    draw_bench_nodes,
-    main,
-    parse_scalar,
-    run_bench,
-)
-from cimatrix.matrix import CIMatrix, build_ci_matrix, det_closed_form, symbolic_ci_matrix
-from cimatrix.multipoly import variables
+from conftest import GOLDEN_N4_ENTRIES, pretty_layout, read_gen_json
+from cimatrix.cli import BENCH_CSV_HEADER, build_parser, draw_bench_nodes, main, run_bench
+from cimatrix.matrix import build_ci_matrix, det_closed_form, symbolic_ci_matrix
 from cimatrix.scalars import rational_from_string
 
 
@@ -161,10 +151,17 @@ def test_gen_symbolic_size_cap(capsys):
 def test_gen_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "gen", "--mu", "1/2,2,3", "--out", "json")
     assert code == 0
-    doc = MatrixDocument.from_json(out)
-    assert doc.to_json() == out
-    assert doc.scalar_kind == "rational"
-    assert doc.mu == ["1/2", "2", "3"]
+    nodes = [Fraction(1, 2), 2, 3]
+    doc = read_gen_json(out)
+    assert doc["scalar_kind"] == "rational" and doc["n"] == 3
+    assert json.loads(out)["mu"] == ["1/2", "2", "3"] and doc["mu"] == nodes
+    assert doc["entries"] == [list(row) for row in build_ci_matrix(nodes).entries]
+    code, out, _ = run_cli(capsys, "gen", "--symbolic", "--n", "3", "--out", "json")
+    assert code == 0
+    doc = read_gen_json(out)
+    assert doc["scalar_kind"] == "symbolic" and doc["mu"] == "symbolic"
+    assert doc["entries"] == [[entry.render() for entry in row]
+                              for row in symbolic_ci_matrix(3).entries]
 
 
 def test_gen_float_kind(capsys):
@@ -172,10 +169,21 @@ def test_gen_float_kind(capsys):
         capsys, "gen", "--mu", "0.5,1.75,3.0", "--kind", "float64", "--out", "json"
     )
     assert code == 0
-    doc = MatrixDocument.from_json(out)
-    assert doc.scalar_kind == "float64"
-    assert doc.entries[-1] == ["1", "1", "1"]
-    assert doc.to_json() == out
+    assert json.loads(out)["entries"][-1] == ["1", "1", "1"]
+    doc = read_gen_json(out)
+    assert doc["scalar_kind"] == "float64"
+    assert doc["mu"] == [0.5, 1.75, 3.0]
+    assert np.array_equal(np.array(doc["entries"]), build_ci_matrix(doc["mu"]).entries)
+
+
+def test_gen_symbolic_refuses_kind(capsys):
+    # --kind names the scalar kind of --mu nodes; symbolic nodes have none.
+    for kind in ("float64", "rational"):
+        code, out, err = run_cli(capsys, "gen", "--symbolic", "--n", "2", "--kind", kind,
+                                 "--out", "csv")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "--kind" in err
+    assert run_cli(capsys, "gen", "--symbolic", "--n", "2", "--out", "csv")[0] == 0
 
 
 def test_gen_usage_errors(capsys):
@@ -311,7 +319,8 @@ def test_float_kind_reads_the_one_scalar_grammar(capsys):
     code, out, err = run_cli(capsys, "gen", "--mu", "0.1,1/3,2.5e-3", "--kind", "float64",
                              "--out", "json")
     assert code == 0 and err == ""
-    assert MatrixDocument.from_json(out).mu == ["0.1", repr(1 / 3), "0.0025"]
+    assert json.loads(out)["mu"] == ["0.1", repr(1 / 3), "0.0025"]
+    assert read_gen_json(out)["mu"] == [0.1, 1 / 3, 0.0025]
 
 
 def test_out_of_range_exponents_exit_2_with_one_line(capsys):
@@ -431,130 +440,6 @@ def test_run_bench_digests_agree_at_moderate_sizes():
 
 
 # ---------------------------------------------------------------------------
-# documents
-
-
-def test_document_round_trips_rational_and_float():
-    for kind, nodes in (
-        ("rational", [Fraction(1, 2), Fraction(2), Fraction(3)]),
-        ("float64", [0.5, 1.75, 3.0]),
-    ):
-        doc = MatrixDocument.from_matrix(build_ci_matrix(nodes), kind)
-        text = doc.to_json()
-        assert MatrixDocument.from_json(text).to_json() == text
-        assert doc.to_matrix() == build_ci_matrix(nodes)
-
-
-def test_float_document_round_trip_equality_is_exact():
-    built = build_ci_matrix(draw_bench_nodes(12, 5))
-    parsed = MatrixDocument.from_json(MatrixDocument.from_matrix(built, "float64").to_json()).to_matrix()
-    assert parsed == built
-    assert not parsed.entries.flags.writeable
-    nudged = np.array(built.entries)
-    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
-    assert CIMatrix(built.n, built.nodes, nudged) != built
-
-
-def test_document_symbolic_round_trip():
-    doc = MatrixDocument.from_matrix(symbolic_ci_matrix(3), "symbolic")
-    text = doc.to_json()
-    parsed = MatrixDocument.from_json(text)
-    assert parsed.to_json() == text
-    assert parsed.to_matrix() == symbolic_ci_matrix(3)
-
-
-def test_document_validation_errors():
-    with pytest.raises(ValueError):
-        MatrixDocument.from_json("not json")
-    with pytest.raises(ValueError):
-        MatrixDocument.from_json(json.dumps({"schema": "other/1"}))
-    good = MatrixDocument.from_matrix(build_ci_matrix([Fraction(1), Fraction(2)]), "rational")
-    payload = json.loads(good.to_json())
-    payload["entries"][-1][0] = "2"  # break the all-ones bottom row
-    with pytest.raises(ValueError):
-        MatrixDocument.from_json(json.dumps(payload))
-    payload = json.loads(good.to_json())
-    payload["mu"] = ["1"]  # wrong length
-    with pytest.raises(ValueError):
-        MatrixDocument.from_json(json.dumps(payload))
-    single = {"schema": "ci-matrix/1", "n": 1, "scalar_kind": "rational", "mu": ["1"], "entries": [["1"]]}
-    MatrixDocument.from_json(json.dumps(single))
-    for key, value in (
-        ("entries", [[1]]),  # cells must be strings
-        ("entries", [[None]]),
-        ("mu", [1]),  # nodes must be strings
-        ("mu", [None]),
-        ("n", True),  # a bool is not a node count
-    ):
-        with pytest.raises(ValueError):
-            MatrixDocument.from_json(json.dumps({**single, key: value}))
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    max_leaves=12,
-)
-CELL_TEXTS = st.one_of(
-    st.sampled_from(["1", "0", "-1/2", "2.5e-3", "1e-400", "1e400", "u1", "u2^2 - u1", "1/0", ""]),
-    st.text(alphabet="u0123456789^*/.e+- ", max_size=12),
-)
-
-
-@st.composite
-def near_documents(draw):
-    """Documents with the right schema and shape, and cells drawn from near
-    the scalar grammars, so most draws reach the cell parsers."""
-    n = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["rational", "float64", "symbolic", "other"]))
-    cells = st.lists(CELL_TEXTS, min_size=n, max_size=n)
-    mu = "symbolic" if kind == "symbolic" else draw(cells)
-    entries = draw(st.lists(cells, min_size=n, max_size=n))
-    if draw(st.booleans()):
-        entries[-1] = ["1"] * n
-    return {"schema": "ci-matrix/1", "n": n, "scalar_kind": kind, "mu": mu, "entries": entries}
-
-
-@given(st.one_of(
-    st.text(max_size=40),
-    JSON_VALUES.map(json.dumps),
-    near_documents().map(json.dumps),
-))
-@example("[" * 100_000)  # nested past the interpreter's recursion limit
-@example('{"a": ' * 100_000)
-@example(json.dumps({"schema": "ci-matrix/1", "n": 1, "scalar_kind": "float64",
-                     "mu": ["1e-400"], "entries": [["1"]]}))
-def test_document_from_json_returns_or_raises_value_error(text):
-    try:
-        doc = MatrixDocument.from_json(text)
-    except ValueError:
-        return
-    assert MatrixDocument.from_json(doc.to_json()) == doc
-
-
-@pytest.mark.parametrize("kind,nodes", [
-    ("rational", [Fraction(1, 2), 2, -3, 5]),
-    ("float64", [0.5, 1.75, 3.0, -2.25]),
-    ("symbolic", variables(4)),
-])
-def test_document_parses_each_cell_once(kind, nodes, monkeypatch):
-    text = MatrixDocument.from_matrix(build_ci_matrix(nodes), kind).to_json()
-    calls = []
-
-    def counting(*args):
-        calls.append(args[0])
-        return parse_scalar(*args)
-
-    monkeypatch.setattr(cli, "parse_scalar", counting)
-    doc = MatrixDocument.from_json(text)
-    matrix = doc.to_matrix()
-    n = len(nodes)
-    assert len(calls) == n * n + (0 if kind == "symbolic" else n)
-    monkeypatch.undo()
-    assert matrix == build_ci_matrix(nodes)
-
-
-# ---------------------------------------------------------------------------
 # repeated calls in one process
 
 
@@ -643,4 +528,4 @@ def test_det_and_gen_end_in_an_answer_or_one_error_line(nodes):
     code, out, err = gen
     assert code == 0 and err == ""
     parsed = [rational_from_string(text) for text, _ in nodes]
-    assert MatrixDocument.from_json(out).to_matrix() == build_ci_matrix(parsed)
+    assert read_gen_json(out)["entries"] == [list(row) for row in build_ci_matrix(parsed).entries]

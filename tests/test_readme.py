@@ -1,4 +1,5 @@
-"""Run every ``cimatrix`` example in the README's ``sh`` blocks.
+"""Run every ``cimatrix`` example in the README's ``sh`` blocks, and hold
+the README's list of public names to ``cimatrix.__all__``.
 
 Each command runs in process through ``cimatrix.cli.main``.  It must exit
 0, or N where its comment says ``exits N``, and print the ``# `` lines
@@ -13,6 +14,7 @@ import shlex
 
 import pytest
 
+import cimatrix
 from cli_corpus import run
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -60,3 +62,15 @@ def test_readme_example(command, shown):
             assert printed[i].startswith(expected[:-3])
         else:
             assert printed[i] == expected
+
+
+def test_readme_lists_the_public_names():
+    # The sentence gives the count; the bullet list below it, up to the
+    # first blank line, gives the names in backticks.
+    with open(README) as f:
+        text = f.read()
+    stated = re.search(r"The top level exports exactly these (\d+) names[^\n]*\n\n(.*?)\n\n",
+                       text, re.DOTALL)
+    assert stated, "README states no count of public names"
+    assert int(stated.group(1)) == len(cimatrix.__all__)
+    assert set(re.findall(r"`(\w+)`", stated.group(2))) == set(cimatrix.__all__)
