@@ -15,7 +15,6 @@ from .matrix import (
     SizeCapError,
     build_ci_matrix,
     closed_form_logdet,
-    compare_determinants,
     det_bareiss,
     det_closed_form,
     det_cofactor,
@@ -38,7 +37,6 @@ __all__ = [
     "SizeCapError",
     "build_ci_matrix",
     "closed_form_logdet",
-    "compare_determinants",
     "det_bareiss",
     "det_closed_form",
     "det_cofactor",

@@ -11,7 +11,9 @@ without forming the matrix.
 one shared ``elem_sym_all`` table into n columns, float nodes take the
 vectorized ``leave_one_out_table_float`` and keep it as a read-only
 float64 array, with no per-entry Python objects.  Float arithmetic that
-overflows on finite nodes raises ``NumericalError``, never returns inf/nan.
+overflows on finite nodes raises ``NumericalError`` where it happens (the
+float build, the float ``det_closed_form``, ``lu_logdet`` and ``det_lu``),
+never returns inf/nan.
 Rational nodes x_i = p_i / q_i never do Fraction arithmetic: both sides of
 the identity are int polynomial products over a product of denominators,
 so the build deflates int coefficients and ``det_closed_form`` multiplies
@@ -27,7 +29,7 @@ Three independent determinant oracles witness that identity:
   size of the input's entries, not of the full minors;
 * ``det_lu`` -- partial-pivot LU over floats: one LAPACK ``getrf`` in
   ``lu_logdet``, whose (sign, log|det|) form stays finite for sizes where
-  the plain value would overflow;
+  the plain value would overflow, and ``det_lu`` refuses such a value;
 * ``det_cofactor`` -- generalized Laplace expansion for polynomial
   entries: the column-subset minors of the top (n-1)//2 rows and of the
   bottom rows, memoized, joined in one sum of products; a dense
@@ -146,7 +148,9 @@ def det_closed_form(nodes: Sequence):
     p_i / q_i multiply the int gaps p_j q_i - p_i q_j in a balanced product
     tree and divide once by prod_i q_i^(n-1): an int for all-int nodes, a
     Fraction if any node is one.  Other scalars multiply the differences in
-    order.
+    order; a float node list (``scalars.is_exact``) with a non-finite node
+    raises ValueError, and one whose product leaves the finite range raises
+    ``NumericalError``.
     """
     n = len(nodes)
     if n == 0:
@@ -157,10 +161,15 @@ def det_closed_form(nodes: Sequence):
         gaps = [p[j] * q[i] - p[i] * q[j] for i in range(n) for j in range(i + 1, n)]
         det = 0 if 0 in gaps else _product(gaps)
         return Fraction(det, _product(q) ** (n - 1)) if has_fraction else det
+    floats = not is_exact(nodes)
+    if floats and not all(math.isfinite(x) for x in nodes):
+        raise ValueError("non-finite float node")
     det = one_like(nodes[0])
     for i in range(n):
         for j in range(i + 1, n):
             det = det * (nodes[j] - nodes[i])
+    if floats and not math.isfinite(det):
+        raise NumericalError("float closed form: the product is not finite")
     return det
 
 
@@ -255,11 +264,15 @@ def det_bareiss(matrix):
 def det_lu(matrix) -> float:
     """Float determinant by LU with partial pivoting: ``sign * exp(log|det|)``
     from :func:`lu_logdet`, so an exactly singular matrix gives 0.0.  Its
-    relative error is about ``|log|det|| * eps``, 1e-13 near 1e+-300."""
+    relative error is about ``|log|det|| * eps``, 1e-13 near 1e+-300.  A
+    value beyond the float range raises ``NumericalError``, not inf."""
     sign, logabs = lu_logdet(matrix)
-    # An overflow gives inf here, which the caller reports once as an error.
+    # An overflow is reported once, as the error below, not as a warning.
     with np.errstate(over="ignore"):
-        return sign * float(np.exp(logabs))
+        det = sign * float(np.exp(logabs))
+    if not math.isfinite(det):
+        raise NumericalError("LU determinant: the value is not finite")
+    return det
 
 
 def lu_logdet(matrix) -> tuple[int, float]:
@@ -387,47 +400,6 @@ def det_cofactor(matrix, size_cap: int = 7):
             minor = -minor
         pairs.append((minor, bottom[full ^ mask]))
     return sum_of_products(pairs, zero)
-
-
-@dataclass
-class DetReport:
-    """Closed form vs oracle, with the observed discrepancy."""
-
-    closed_form: object
-    oracle: object
-    oracle_kind: str  # "bareiss" | "lu"
-    discrepancy: object
-    exact: bool
-
-    def agrees(self, rel_tol: float = 1e-8) -> bool:
-        if self.exact:
-            return self.discrepancy == 0
-        scale = max(abs(self.closed_form), abs(self.oracle))
-        return abs(self.discrepancy) <= rel_tol * scale if scale else True
-
-
-def compare_determinants(nodes: Sequence, oracle_kind: str) -> DetReport:
-    """Evaluate the closed form and the requested oracle on the same nodes."""
-    if oracle_kind == "bareiss":
-        closed = det_closed_form(nodes)
-        oracle = det_bareiss(build_ci_matrix(nodes))
-        return DetReport(closed, oracle, "bareiss", closed - oracle, exact=True)
-    if oracle_kind == "lu":
-        try:
-            floats = [float(x) for x in nodes]
-        except OverflowError:
-            floats = None
-        # A nonzero node that rounds to 0.0 does not fit either.
-        if floats is None or any(f == 0.0 and x != 0 for f, x in zip(floats, nodes)):
-            raise NumericalError("float nodes: a node does not fit in a float")
-        closed = det_closed_form(floats)
-        if not math.isfinite(closed):
-            raise NumericalError("float closed form: the product is not finite")
-        oracle = det_lu(build_ci_matrix(floats))
-        if not math.isfinite(oracle):
-            raise NumericalError("LU determinant: the value is not finite")
-        return DetReport(closed, oracle, "lu", closed - oracle, exact=False)
-    raise ValueError(f"unknown oracle {oracle_kind!r}")
 
 
 @dataclass

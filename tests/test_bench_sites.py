@@ -1,9 +1,11 @@
-"""The names the traced benchmark rebinds must exist in the package.
+"""The names the traced benchmark rebinds must exist in the package, and
+the package must call through them.
 
 ``perfbench/spans.py`` rebinds each function it times at the call sites it
-lists, and fails the traced run if a layer has none left.  This test reads
+lists, and fails the traced run if a layer has none left.  These tests read
 that table (without changing it) so that renaming or deleting a traced
-function fails here, not only in a benchmark run.
+function fails here, not only in a benchmark run, and so does a caller that
+binds a traced function by name where the table does not rebind it.
 """
 
 import importlib
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import cimatrix
+import cimatrix.cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -47,3 +50,42 @@ def test_every_public_name_resolves():
     assert len(cimatrix.__all__) == len(set(cimatrix.__all__))
     for name in cimatrix.__all__:
         assert hasattr(cimatrix, name), name
+
+
+# The layers the traced ``exact`` workload reports, one request being
+# ``det --oracle bareiss`` then ``gen --out json`` on the same nodes.
+EXACT_LAYERS = (
+    "cli.main",
+    "matrix.build_ci_matrix",
+    "symfunc.elem_sym_all",
+    "symfunc.elem_sym_leave_one_out",
+    "matrix.det_closed_form",
+    "matrix.det_bareiss",
+    "scalars.rational_from_string",
+    "scalars.rational_to_string",
+    "cli.MatrixDocument.from_matrix",
+    "cli.MatrixDocument.to_json",
+)
+
+
+def test_a_traced_exact_request_reaches_every_layer(capsys):
+    tracer = _spans.Tracer()
+    tracer.request = 0
+    saved = _spans.install(tracer)
+    try:
+        # ``cimatrix.cli.main`` is looked up here, after the rebinding, as
+        # the serving process does.
+        for argv in (["det", "--mu", "1/2,-3/7,5,22/9", "--oracle", "bareiss"],
+                     ["gen", "--mu", "1/2,-3/7,5,22/9", "--out", "json"]):
+            assert cimatrix.cli.main(argv) == 0
+    finally:
+        _spans.restore(saved)
+    capsys.readouterr()
+    reached = {record[0] for record in tracer.spans}
+    assert [layer for layer in EXACT_LAYERS if layer not in reached] == []
+    counts = tracer.counts[0]
+    assert counts["scalars.exact_div.calls"] > 0
+    assert counts["matrix.det_bareiss.result_bits"] > 0
+    # Every original is back.
+    for restored in (cimatrix.cli.main, cimatrix.matrix.det_bareiss, cimatrix.matrix.exact_div):
+        assert not hasattr(restored, "__wrapped__")

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from cli_corpus import run
 from conftest import GOLDEN_N4_ENTRIES, pretty_layout, read_gen_json
 from cimatrix.cli import BENCH_CSV_HEADER, build_parser, draw_bench_nodes, main, run_bench
-from cimatrix.matrix import build_ci_matrix, det_closed_form, symbolic_ci_matrix
-from cimatrix.scalars import rational_from_string
+from cimatrix.matrix import build_ci_matrix, det_closed_form, det_lu, symbolic_ci_matrix
+from cimatrix.scalars import float_to_string, rational_from_string
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +225,19 @@ def test_det_lu_oracle(capsys):
     assert "agree=yes" in out
 
 
+@pytest.mark.parametrize("mu", ["1,2,3", "1/2,-3/7,5,22/9"])
+def test_det_lu_output_renders_the_library_values(capsys, mu):
+    # The digits depend on the numpy build, so the expected lines come from
+    # the library calls on the same floats, not from a capture.
+    floats = [float(rational_from_string(piece)) for piece in mu.split(",")]
+    closed = det_closed_form(floats)
+    oracle = det_lu(build_ci_matrix(floats))
+    expected = (f"closed_form={float_to_string(closed)}\n"
+                f"oracle={float_to_string(oracle)} kind=lu\n"
+                f"discrepancy={closed - oracle!r} agree=yes\n")
+    assert run_cli(capsys, "det", "--mu", mu, "--oracle", "lu") == (0, expected, "")
+
+
 def test_det_oracle_mismatch_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("cimatrix.matrix.det_lu", lambda m: 99.0)
     code, out, err = run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu")
@@ -249,7 +262,8 @@ def test_float_overflow_on_finite_nodes_exits_3(capsys, monkeypatch):
                                          "--kind", "float64"), "CI-matrix build")
         assert_numerical_failure(run_cli(capsys, "det", "--mu", "1" + "0" * 400 + ".0,1",
                                          "--oracle", "lu"), "float nodes")
-    monkeypatch.setattr("cimatrix.matrix.det_lu", lambda m: float("inf"))
+    # log|det| = 1000 is finite, its value is not.
+    monkeypatch.setattr("cimatrix.matrix.lu_logdet", lambda m: (1, 1000.0))
     assert_numerical_failure(run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu"), "LU")
 
 

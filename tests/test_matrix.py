@@ -16,7 +16,6 @@ from cimatrix.matrix import (
     SizeCapError,
     build_ci_matrix,
     closed_form_logdet,
-    compare_determinants,
     det_bareiss,
     det_closed_form,
     det_cofactor,
@@ -107,8 +106,21 @@ def test_float_build_overflow_is_a_numerical_error():
     nodes = [float(i) for i in range(1, 200)]
     with pytest.raises(NumericalError):
         build_ci_matrix(nodes)
-    with pytest.raises(NumericalError):
-        compare_determinants(nodes, "lu")
+    with pytest.raises(NumericalError, match="closed form"):
+        det_closed_form(nodes)
+
+
+def test_float_determinants_refuse_non_finite_nodes_and_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="non-finite float node"):
+                det_closed_form([1.0, bad])
+        with pytest.raises(NumericalError, match="closed form"):
+            det_closed_form([1e200, -1e200, 3e200])
+        with pytest.raises(NumericalError, match="LU determinant"):
+            det_lu([[1e300, 0.0], [0.0, 1e300]])
+    assert det_closed_form([1e100, -1e100, 3e100]) == pytest.approx(-1.6e301)
 
 
 def test_repeated_nodes_give_identical_columns():
@@ -751,25 +763,3 @@ def test_duality_floats_well_separated():
         residual = vandermonde_duality_residual(nodes)
         assert residual.max_offdiag / residual.scale < 1e-8
         assert residual.max_diag_rel < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def test_compare_determinants_bareiss():
-    report = compare_determinants(NODES_123, "bareiss")
-    assert report.exact and report.discrepancy == 0 and report.agrees()
-    assert (report.closed_form, report.oracle) == (2, 2)
-
-
-def test_compare_determinants_lu():
-    report = compare_determinants(NODES_123, "lu")
-    assert not report.exact
-    assert report.agrees(1e-8)
-    assert report.oracle_kind == "lu"
-
-
-def test_compare_determinants_unknown_oracle():
-    with pytest.raises(ValueError):
-        compare_determinants(NODES_123, "cramer")
