@@ -147,10 +147,11 @@ def det_closed_form(nodes: Sequence):
     straight from the nodes; the matrix is never formed.  Rational nodes
     p_i / q_i multiply the int gaps p_j q_i - p_i q_j in a balanced product
     tree and divide once by prod_i q_i^(n-1): an int for all-int nodes, a
-    Fraction if any node is one.  Other scalars multiply the differences in
-    order; a float node list (``scalars.is_exact``) with a non-finite node
-    raises ValueError, and one whose product leaves the finite range raises
-    ``NumericalError``.
+    Fraction if any node is one.  Other scalars multiply the row products
+    prod_{i<j} (nodes[j] - nodes[i]) together, as ``vandermonde_product``
+    does; float nodes (``scalars.is_exact``) raise ValueError if one is not
+    finite, give 0.0 if two are equal, and raise ``NumericalError`` on an
+    overflow.
     """
     n = len(nodes)
     if n == 0:
@@ -164,10 +165,14 @@ def det_closed_form(nodes: Sequence):
     floats = not is_exact(nodes)
     if floats and not all(math.isfinite(x) for x in nodes):
         raise ValueError("non-finite float node")
+    if floats and len(set(nodes)) < n:
+        return 0.0  # a zero gap: the other gaps may overflow before it
     det = one_like(nodes[0])
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = det * (nodes[j] - nodes[i])
+    for j in range(1, n):
+        row = nodes[j] - nodes[0]
+        for i in range(1, j):
+            row = row * (nodes[j] - nodes[i])
+        det = det * row
     if floats and not math.isfinite(det):
         raise NumericalError("float closed form: the product is not finite")
     return det
@@ -454,8 +459,8 @@ def vandermonde_duality_residual(nodes: Sequence) -> DualityResidual:
                 diff = abs(total - expected)
                 if expected == zero:
                     rel = diff
-                elif diff == abs(zero):
-                    rel = abs(zero)
+                elif isinstance(diff, int):
+                    rel = Fraction(diff, abs(expected))  # exact on int nodes
                 else:
                     rel = diff / abs(expected)
                 if rel > max_diag_rel:

@@ -16,8 +16,7 @@ never carries into the next one, and an operation that forms a key with a
 guard bit set raises ValueError instead of returning an exponent carried
 into the next variable.  Coefficients are ints wherever they are integral
 and Fractions only where they are not, so the +-1 coefficients of the
-symbolic determinant multiply as machine ints.  ``MultiPoly.terms`` is a
-decoded, read-only view of that map: exponent tuple -> nonzero Fraction.
+symbolic determinant multiply as machine ints.
 
 That canonical form is enforced in two places.  Input from outside the
 program -- ``MultiPoly(nvars, terms)``, ``constant`` and ``variable`` --
@@ -28,19 +27,22 @@ through Fraction.  Arithmetic results are finished by
 sums dropped and integral coefficients stored as int, and wrapped without
 the outside-input checks by ``MultiPoly._canonical``.
 
-Like terms are added in two loops.  ``_sum_products`` is the one product
+Like terms are added in three loops.  ``_sum_products`` is the one product
 kernel: it adds every product a_k * b_k of a list of pairs into one map of
 raw sums, checked for guard bits over every key, cancelled ones included.
-``*`` is its one-pair case; ``+`` and ``substitute`` feed it products
-with constants; ``ring_sum_of_products`` feeds it a whole cofactor minor,
-or the join of the row split, from ``matrix.det_cofactor``, which is then
-normalized once instead of once per product and per partial sum.
-``identify_variables`` moves each exponent in one pass of its own and
-guard-checks the terms that survive, since a merged exponent past the limit
-may cancel.
+``*`` is its one-pair case, ``+`` feeds it products with 1, and
+``ring_sum_of_products`` a whole cofactor minor, or the join of the row
+split, from ``matrix.det_cofactor``, normalized once instead of once per
+product and per partial sum.  ``substitute`` and ``identify_variables``
+each move every term in one pass of their own; the latter guard-checks
+the terms that survive, since a merged exponent past the limit may cancel.
 
-Values are immutable by convention: no method mutates ``self``, every
-operation returns a fresh polynomial.
+Queries read exponents from one table: all keys' fields, flat, in term-map
+order, decoded on first use by one ``struct`` unpack, so a cofactor minor or
+a product never pays for it.  ``terms`` (exponent tuple -> nonzero Fraction)
+and the degree queries read its rows, ``substitute`` and the identification
+a column.  Values are immutable by convention: no method changes a term map
+and every operation returns a fresh polynomial, so a table never goes stale.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import or_
+from itertools import count, repeat
+from operator import add, neg, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import rational_to_string
@@ -57,7 +60,6 @@ Monomial = tuple  # exponent vector, one slot per variable
 
 FIELD_BITS = 16
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)  # exponents lie in [0, EXPONENT_LIMIT)
-_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def _shift(nvars: int, slot: int) -> int:
@@ -68,30 +70,6 @@ def _shift(nvars: int, slot: int) -> int:
 @lru_cache(maxsize=32)
 def _guard_mask(nvars: int) -> int:
     return sum((EXPONENT_LIMIT << _shift(nvars, slot)) for slot in range(nvars))
-
-
-@lru_cache(maxsize=32)
-def _fields(nvars: int) -> struct.Struct:
-    # One big-endian unsigned short per FIELD_BITS = 16 bit field, u1 first.
-    return struct.Struct(f">{nvars}H")
-
-
-def _unpack(key: int, nvars: int) -> Monomial:
-    return _fields(nvars).unpack(key.to_bytes(2 * nvars, "big"))
-
-
-def _degrees(keys: Iterable[int], nvars: int) -> Iterator[int]:
-    """The total degree of each key: the sum of its fields, one unpack each."""
-    unpack, size = _fields(nvars).unpack, 2 * nvars
-    return (sum(unpack(key.to_bytes(size, "big"))) for key in keys)
-
-
-def _graded(terms: dict, nvars: int) -> Iterator[tuple[int, int]]:
-    """(-total degree, key) for each key of ``terms``.  Ordered ascending,
-    these pairs are the graded-lex display order: total degree descending,
-    then exponent vector ascending (u1's exponent most significant), which
-    is the key."""
-    return zip([-degree for degree in _degrees(terms, nvars)], terms)
 
 
 _UNIT = {0: 1}  # the term map of the constant 1
@@ -126,7 +104,7 @@ def _canonical_terms(nvars: int, sums: dict) -> dict:
 class MultiPoly:
     """Sparse polynomial in a fixed number of variables over the rationals."""
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_terms", "_table")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction] | None = None):
         if nvars < 0:
@@ -136,6 +114,7 @@ class MultiPoly:
             self._pack(monomial): Fraction(coeff) for monomial, coeff in (terms or {}).items()
         }
         self._terms = _canonical_terms(nvars, packed)
+        self._table = None
 
     def _pack(self, monomial) -> int:
         """Validate one outside exponent vector and pack it."""
@@ -160,14 +139,27 @@ class MultiPoly:
         poly = cls.__new__(cls)
         poly.nvars = nvars
         poly._terms = _canonical_terms(nvars, sums)
+        poly._table = None
         return poly
+
+    def _exponents(self) -> tuple[int, ...]:
+        """The exponent table (module docstring), u1's field first."""
+        if self._table is None:
+            # One big-endian unsigned short per FIELD_BITS = 16 bit field.
+            packed = b"".join(map(int.to_bytes, self._terms, repeat(2 * self.nvars), repeat("big")))
+            self._table = struct.unpack(f">{len(packed) // 2}H", packed)
+        return self._table
+
+    def _rows(self) -> Iterator[Monomial]:
+        """The exponent vector of each key, in term-map order."""
+        if not self.nvars:
+            return repeat((), len(self._terms))
+        return zip(*[iter(self._exponents())] * self.nvars)
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         """Decoded copy of the term map: exponent tuple -> nonzero Fraction."""
-        return {
-            _unpack(key, self.nvars): Fraction(coeff) for key, coeff in self._terms.items()
-        }
+        return dict(zip(self._rows(), map(Fraction, self._terms.values())))
 
     # -- constructors ------------------------------------------------------
 
@@ -218,14 +210,15 @@ class MultiPoly:
 
     def total_degrees(self) -> set[int]:
         """The set of total degrees present; empty for the zero polynomial."""
-        return set(_degrees(self._terms, self.nvars))
+        return set(map(sum, self._rows()))
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Leading (monomial, coefficient) in canonical order; zero poly is an error."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        _, key = min(_graded(self._terms, self.nvars))
-        return _unpack(key, self.nvars), Fraction(self._terms[key])
+        _, key, i = min(zip(map(neg, map(sum, self._rows())), self._terms, count()))
+        n = self.nvars
+        return self._exponents()[i * n : i * n + n], Fraction(self._terms[key])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -292,18 +285,18 @@ class MultiPoly:
         value = Fraction(value)
         if value.denominator == 1:
             value = value.numerator
+        column = self._exponents()[index - 1 :: self.nvars]
+        powers = {e: value**e for e in set(column)}
         shift = _shift(self.nvars, index - 1)
-        field = _FIELD_MASK << shift
-        groups: dict = {}  # e -> the terms with u<index>^e, that field cleared
-        for key, coeff in self._terms.items():
-            groups.setdefault((key >> shift) & _FIELD_MASK, {})[key & ~field] = coeff
-        # A group whose factor value**e is 0 adds nothing.  Its keys come from
-        # this canonical polynomial with one field cleared, so leaving them
-        # out of the guard check of the sum loses nothing.
-        terms = _sum_products(
-            (rest, {0: factor}) for e, rest in groups.items() if (factor := value**e)
-        )
-        return MultiPoly._canonical(self.nvars, terms)
+        sums: dict = {}
+        get = sums.get
+        # A term whose factor is 0 adds nothing, and its key, with one field
+        # cleared, has no guard bit to check.
+        for key, coeff, e in zip(self._terms, self._terms.values(), column):
+            if factor := powers[e]:
+                key -= e << shift
+                sums[key] = get(key, 0) + coeff * factor
+        return MultiPoly._canonical(self.nvars, sums)
 
     def identify_variables(self, keep: int, replace: int) -> "MultiPoly":
         """Substitute u<replace> := u<keep> (both 1-based), keeping the arity.
@@ -316,14 +309,14 @@ class MultiPoly:
                 raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         if keep == replace:
             return self
-        source = _shift(self.nvars, replace - 1)
-        # Adding e * move takes an exponent e out of the replaced field and
-        # into the kept one.
-        move = (1 << _shift(self.nvars, keep - 1)) - (1 << source)
+        column = self._exponents()[replace - 1 :: self.nvars]
+        # Adding e * move takes an exponent e from the replaced field to the kept one.
+        move = (1 << _shift(self.nvars, keep - 1)) - (1 << _shift(self.nvars, replace - 1))
+        deltas = {e: e * move for e in set(column)}
         sums: dict = {}
         get = sums.get
-        for key, coeff in self._terms.items():
-            key += ((key >> source) & _FIELD_MASK) * move
+        keys = map(add, self._terms, map(deltas.__getitem__, column))
+        for key, coeff in zip(keys, self._terms.values()):
             sums[key] = get(key, 0) + coeff
         # Only the surviving terms meet the guard check: a merged exponent
         # past the limit may cancel, and the result is then representable.
@@ -336,9 +329,9 @@ class MultiPoly:
                 f"point length {len(point)} does not match variable count {self.nvars}"
             )
         total = Fraction(0)
-        for key, coeff in self._terms.items():
+        for coeff, row in zip(self._terms.values(), self._rows()):
             term = coeff
-            for value, e in zip(point, _unpack(key, self.nvars)):
+            for value, e in zip(point, row):
                 if e:
                     term = term * value**e
             total = total + term
@@ -356,10 +349,12 @@ class MultiPoly:
         if self.is_zero:
             return "0"
         pieces: list[str] = []
-        for position, (_, key) in enumerate(sorted(_graded(self._terms, self.nvars))):
+        # Keys are unique, so no two rows are compared.
+        display = sorted(zip(map(neg, map(sum, self._rows())), self._terms, self._rows()))
+        for position, (_, key, row) in enumerate(display):
             coeff = self._terms[key]
             factors = []
-            for slot, e in enumerate(_unpack(key, self.nvars)):
+            for slot, e in enumerate(row):
                 if e == 1:
                     factors.append(f"u{slot + 1}")
                 elif e > 1:

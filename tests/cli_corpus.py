@@ -75,6 +75,7 @@ ARGVS += [
     ["verify", "--max-n", "5", "--json"],
     ["verify", "--max-n", "3"],
     ["verify", "--max-n", "7", "--cap", "7", "--json"],
+    ["verify", "--max-n", "8", "--cap", "8", "--json"],
     # float runs: pinned by exit code and stderr
     ["gen", "--mu", "0.5,1.75,3.0", "--kind", "float64", "--out", "json"],
     ["gen", "--mu", "0.1,1/3,2.5", "--kind", "float64", "--out", "csv"],

@@ -16,6 +16,8 @@ import pytest
 
 import cimatrix
 import cimatrix.cli
+import cimatrix.multipoly
+import cimatrix.verifier
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -88,4 +90,45 @@ def test_a_traced_exact_request_reaches_every_layer(capsys):
     assert counts["matrix.det_bareiss.result_bits"] > 0
     # Every original is back.
     for restored in (cimatrix.cli.main, cimatrix.matrix.det_bareiss, cimatrix.matrix.exact_div):
+        assert not hasattr(restored, "__wrapped__")
+
+
+# The layers the traced ``symbolic_verify`` workload reports, one request
+# being ``verify --max-n 7 --cap 7 --json``.
+SYMBOLIC_LAYERS = (
+    "cli.main",
+    "matrix.symbolic_ci_matrix",
+    "matrix.det_cofactor",
+    "matrix.build_ci_matrix",
+    "matrix.det_closed_form",
+    "multipoly.vandermonde_product",
+    "multipoly.MultiPoly.mul",
+    "multipoly.MultiPoly.identify_variables",
+    "multipoly.MultiPoly.substitute",
+    "verifier.determinant_identity",
+    "verifier.homogeneity",
+    "verifier.row_degrees",
+    "verifier.equal_columns",
+    "verifier.first_node_zero_block",
+    "verifier.duality",
+)
+
+
+def test_a_traced_verify_request_reaches_every_layer(capsys):
+    # A served request runs in a cold process: nothing is cached yet.
+    cimatrix.verifier._symbolic_matrix.cache_clear()
+    cimatrix.verifier._symbolic_det.cache_clear()
+    tracer = _spans.Tracer()
+    tracer.request = 0
+    saved = _spans.install(tracer)
+    try:
+        assert cimatrix.cli.main(["verify", "--max-n", "7", "--cap", "7", "--json"]) == 0
+    finally:
+        _spans.restore(saved)
+    capsys.readouterr()
+    reached = {record[0] for record in tracer.spans}
+    assert [layer for layer in SYMBOLIC_LAYERS if layer not in reached] == []
+    assert tracer.counts[0]["multipoly.det_terms.n7"] == 5040
+    for restored in (cimatrix.cli.main, cimatrix.verifier.det_cofactor,
+                     cimatrix.multipoly.MultiPoly.identify_variables):
         assert not hasattr(restored, "__wrapped__")

@@ -123,6 +123,17 @@ def test_float_determinants_refuse_non_finite_nodes_and_values():
     assert det_closed_form([1e100, -1e100, 3e100]) == pytest.approx(-1.6e301)
 
 
+def test_float_closed_form_of_a_repeated_node_is_zero():
+    # The gaps before the repeated node's zero gap overflow to -inf; the
+    # determinant is still exactly 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert det_closed_form([1e200, -1e200, 3e200, 3e200]) == 0.0
+        assert det_closed_form([2.0, 1.0, 2.0]) == 0.0
+        with pytest.raises(NumericalError, match="closed form"):
+            det_closed_form([1e200, -1e200, 3e200])
+
+
 def test_repeated_nodes_give_identical_columns():
     m = build_ci_matrix([Fraction(1), Fraction(1), Fraction(3)])
     assert m.column(1) == m.column(2)

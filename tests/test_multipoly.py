@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cimatrix.multipoly import (
     EXPONENT_LIMIT,
+    FIELD_BITS,
     MultiPoly,
     vandermonde_product,
     variables,
@@ -348,3 +349,77 @@ def test_wide_identify_variables_matches_naive_fold(case, data):
             p.identify_variables(keep, replace)
     else:
         assert p.identify_variables(keep, replace).terms == expected
+
+
+def reference_decode(p: MultiPoly) -> dict:
+    """The term map decoded key by key with shifts and masks, u1 in the most
+    significant field: the reference for ``terms``."""
+    mask = (1 << FIELD_BITS) - 1
+    return {
+        tuple((key >> ((p.nvars - 1 - slot) * FIELD_BITS)) & mask for slot in range(p.nvars)):
+            Fraction(coeff)
+        for key, coeff in p._terms.items()
+    }
+
+
+def answer(query, p: MultiPoly):
+    """What one query returns on ``p``, or the type of what it raises; a
+    polynomial answers by its terms, which must match the reference decode."""
+    try:
+        result = query(p)
+    except ValueError as exc:
+        return type(exc)
+    if isinstance(result, MultiPoly):
+        assert result.terms == reference_decode(result)
+        return result.terms
+    return result
+
+
+def table_queries(nvars: int) -> list:
+    queries = [
+        lambda p: p.total_degrees(),
+        lambda p: p.leading_term(),
+        lambda p: p.terms,
+        lambda p: p.render(),
+    ]
+    for index in range(1, nvars + 1):
+        queries += [
+            lambda p, i=index: p.substitute(i, 0),
+            lambda p, i=index: p.substitute(i, Fraction(3, 2)),
+            lambda p, i=index: p.identify_variables(1, i),
+            lambda p, i=index: p.identify_variables(i, 1),
+        ]
+    return queries
+
+
+table_exponents = st.one_of(
+    st.integers(0, 3), st.sampled_from([EXPONENT_LIMIT // 2, EXPONENT_LIMIT - 1])
+)
+table_cases = st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(
+        st.tuples(*[table_exponents] * n),
+        st.one_of(st.integers(-3, 3), st.fractions(max_denominator=7)),
+        max_size=5,
+    ),
+))
+
+
+@given(table_cases, st.data())
+def test_queries_on_one_polynomial_match_fresh_copies(case, data):
+    # Every query of one object reads the exponent table it filled on first
+    # use; each must answer as the same query on a polynomial never queried.
+    nvars, terms = case
+    p = MultiPoly(nvars, terms)
+    for query in data.draw(st.permutations(table_queries(nvars))):
+        assert answer(query, p) == answer(query, MultiPoly(nvars, terms))
+    assert p.terms == reference_decode(p) == reference_decode(MultiPoly(nvars, terms))
+
+
+def test_constant_in_zero_variables():
+    p = MultiPoly(0, {(): 5})
+    assert p.total_degrees() == {0}
+    assert p.terms == {(): 5}
+    assert p.leading_term() == ((), 5)
+    assert p.render() == "5"
+    assert MultiPoly(0).total_degrees() == set() and MultiPoly(0).terms == {}

@@ -4,6 +4,8 @@ from math import factorial
 
 import pytest
 
+import cimatrix.cli
+import cimatrix.matrix
 import cimatrix.verifier
 from cimatrix.matrix import SizeCapError, det_cofactor, symbolic_ci_matrix
 from cimatrix.multipoly import MultiPoly, vandermonde_product, variables
@@ -149,6 +151,27 @@ def test_first_node_zero_block_needs_size_two():
 def test_duality_probe():
     for n in (1, 3, 6):
         assert verify_duality_probe(n).passed
+
+
+def test_duality_probe_witness_stays_exact(monkeypatch, capsys):
+    # Entry (1,1) of the size-3 numeric build, e_2(2, 3) = 6, becomes 7: every
+    # residual of column 1 is off by 1, and the diagonal one by 1 of 2.
+    build = cimatrix.matrix.build_ci_matrix
+
+    def perturbed(nodes):
+        matrix = build(nodes)
+        if len(nodes) == 3 and all(isinstance(x, (int, Fraction)) for x in nodes):
+            return with_entry(matrix, 1, 1, matrix.entry(1, 1) + 1)
+        return matrix
+
+    monkeypatch.setattr(cimatrix.matrix, "build_ci_matrix", perturbed)
+    result = verify_duality_probe(3)
+    assert not result.passed
+    assert result.witness == "offdiag=1 diag_rel=1/2"
+    assert cimatrix.cli.main(["verify", "--max-n", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert "[FAIL] n=3 duality offdiag=1 diag_rel=1/2" in out.splitlines()
+    assert err == ""
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
