@@ -7,17 +7,18 @@ row is all ones.  Its determinant equals the pairwise-difference product
 prod_{i<j} (xj - xi), which ``det_closed_form`` evaluates in O(n^2)
 without forming the matrix.
 
-``build_ci_matrix`` has one path per scalar domain: exact nodes deflate
-one shared ``elem_sym_all`` table into n columns, float nodes take the
+``_rational_parts`` is the one rule that picks a kernel: it reads int,
+Fraction and finite float nodes as x_i = p_i / q_i (a float is a dyadic
+rational) and names the result type.  ``build_ci_matrix`` has one path
+per scalar domain: exact nodes deflate one shared ``elem_sym_all`` table
+into n columns, on ints for rational nodes, and float nodes take the
 vectorized ``leave_one_out_table_float`` and keep it as a read-only
-float64 array, with no per-entry Python objects.  Float arithmetic that
-overflows on finite nodes raises ``NumericalError`` where it happens (the
-float build, the float ``det_closed_form``, ``lu_logdet`` and ``det_lu``),
-never returns inf/nan.
-Rational nodes x_i = p_i / q_i never do Fraction arithmetic: both sides of
-the identity are int polynomial products over a product of denominators,
-so the build deflates int coefficients and ``det_closed_form`` multiplies
-int gaps, and each result is one Fraction (or an int, on all-int nodes).
+float64 array, with no per-entry Python objects.  ``det_closed_form``
+multiplies the int gaps of every number node list, and rounds once on
+float nodes; polynomial nodes take ``scalars.difference_product``.  Float
+results that overflow on finite nodes raise ``NumericalError`` where they
+happen (the float build, the float ``det_closed_form``, ``lu_logdet`` and
+``det_lu``), never return inf/nan.
 
 Three independent determinant oracles witness that identity:
 
@@ -47,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .multipoly import variables
-from .scalars import exact_div, is_exact, one_like, sum_of_products, zero_like
+from .scalars import difference_product, exact_div, ring_identities, sum_of_products
 from .symfunc import elem_sym_all, elem_sym_leave_one_out, leave_one_out_table_float
 
 
@@ -84,24 +85,34 @@ class CIMatrix:
         return tuple(row[k - 1] for row in self.entries)
 
 
-def _rational_parts(nodes: Sequence) -> tuple[list[int], list[int], bool] | None:
-    """Numerators p_i and denominators q_i of int/Fraction nodes
-    x_i = p_i / q_i, and whether any node is a Fraction; None for any other
-    node list (floats, polynomials, or a bool among the nodes)."""
-    has_fraction = False
+def _rational_parts(nodes: Sequence) -> tuple[tuple[int, ...], tuple[int, ...], type] | None:
+    """Numerators p_i and denominators q_i of int, Fraction and float nodes
+    x_i = p_i / q_i (``as_integer_ratio``: a finite float is a dyadic
+    rational), and the type of the result: float if any node is a float,
+    else Fraction if any node is one, else int.  This is the one rule that
+    picks a kernel.  None for any other node list (polynomials, or a bool
+    among the nodes); a non-finite float node raises ValueError."""
+    kind = int
     for x in nodes:
-        if isinstance(x, Fraction):
-            has_fraction = True
+        if isinstance(x, float):
+            kind = float
+        elif isinstance(x, Fraction):
+            kind = kind if kind is float else Fraction
         elif not isinstance(x, int) or isinstance(x, bool):
             return None
-    return [x.numerator for x in nodes], [x.denominator for x in nodes], has_fraction
+    try:
+        ratios = [x.as_integer_ratio() for x in nodes]
+    except (OverflowError, ValueError):
+        raise ValueError("non-finite float node") from None
+    p, q = zip(*ratios)
+    return p, q, kind
 
 
 def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     """Construct the CI-matrix of the given nodes.
 
     Exact scalars deflate one shared full table (O(n^2) ring operations
-    total); a node list with any float node (``scalars.is_exact``) is a
+    total); a node list with any float node (``_rational_parts``) is a
     float list, which recomputes every column stably, all columns at once.
     Rational nodes p_i / q_i deflate on ints: column k holds
     Q_k * e_m(x without k) with Q_k = prod_{i != k} q_i, and each entry
@@ -112,19 +123,19 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     if n == 0:
         raise ValueError("node list must not be empty")
     parts = _rational_parts(nodes)
-    if parts is None and not is_exact(nodes):
+    if parts is not None and parts[2] is float:
         table = leave_one_out_table_float(nodes)
         if not np.all(np.isfinite(table)):
             raise NumericalError("float CI-matrix build: an entry is not finite")
         # Row h holds e_{n-h}: the table's rows, bottom to top.
         return CIMatrix(n, tuple(float(x) for x in nodes), table[::-1])
-    numerators, denominators, has_fraction = (nodes, None, False) if parts is None else parts
+    numerators, denominators, kind = (nodes, None, None) if parts is None else parts
     full = elem_sym_all(numerators, denominators)
     columns = [
         elem_sym_leave_one_out(numerators, k, full_table=full, denominators=denominators)
         for k in range(1, n + 1)
     ]
-    if has_fraction:
+    if kind is Fraction:
         # b_0 = Q_k: the bottom row comes out as 1.
         columns = [[Fraction(b, column[0]) for b in column] for column in columns]
     entries = tuple(
@@ -135,8 +146,6 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
 
 def symbolic_ci_matrix(n: int) -> CIMatrix:
     """CI-matrix over the symbolic nodes u1..un."""
-    if n < 1:
-        raise ValueError("need at least one node")
     return build_ci_matrix(variables(n))
 
 
@@ -144,41 +153,32 @@ def det_closed_form(nodes: Sequence):
     """Pairwise-difference product prod_{i<j} (nodes[j] - nodes[i]).
 
     This is the CI-determinant, evaluated in O(n^2) scalar operations
-    straight from the nodes; the matrix is never formed.  Rational nodes
-    p_i / q_i multiply the int gaps p_j q_i - p_i q_j in a balanced product
-    tree and divide once by prod_i q_i^(n-1): an int for all-int nodes, a
-    Fraction if any node is one.  Other scalars multiply the row products
-    prod_{i<j} (nodes[j] - nodes[i]) together, as ``vandermonde_product``
-    does; float nodes (``scalars.is_exact``) raise ValueError if one is not
-    finite, give 0.0 if two are equal, and raise ``NumericalError`` on an
-    overflow.
+    straight from the nodes; the matrix is never formed.  Number nodes
+    p_i / q_i (``_rational_parts``) multiply the int gaps p_j q_i - p_i q_j
+    in a balanced product tree and divide once by prod_i q_i^(n-1): an int
+    for all-int nodes, a Fraction if any node is one, and for any float node
+    the exact value rounded once to a float (``NumericalError`` if it
+    overflows).  Polynomial nodes take ``scalars.difference_product``.
     """
     n = len(nodes)
     if n == 0:
         raise ValueError("node list must not be empty")
     parts = _rational_parts(nodes)
-    if parts is not None:
-        p, q, has_fraction = parts
-        gaps = [p[j] * q[i] - p[i] * q[j] for i in range(n) for j in range(i + 1, n)]
-        det = 0 if 0 in gaps else _product(gaps)
-        return Fraction(det, _product(q) ** (n - 1)) if has_fraction else det
-    floats = not is_exact(nodes)
-    if floats and not all(math.isfinite(x) for x in nodes):
-        raise ValueError("non-finite float node")
-    if floats and len(set(nodes)) < n:
-        return 0.0  # a zero gap: the other gaps may overflow before it
-    det = one_like(nodes[0])
-    for j in range(1, n):
-        row = nodes[j] - nodes[0]
-        for i in range(1, j):
-            row = row * (nodes[j] - nodes[i])
-        det = det * row
-    if floats and not math.isfinite(det):
-        raise NumericalError("float closed form: the product is not finite")
-    return det
+    if parts is None:
+        return difference_product(nodes)
+    p, q, kind = parts
+    gaps = [p[j] * q[i] - p[i] * q[j] for i in range(n) for j in range(i + 1, n)]
+    det = 0 if 0 in gaps else _product(gaps)
+    scale = _product(q) ** (n - 1)
+    if kind is float:
+        try:
+            return det / scale  # int true division rounds correctly
+        except OverflowError:
+            raise NumericalError("float closed form: the product is not finite") from None
+    return Fraction(det, scale) if kind is Fraction else det
 
 
-def _product(factors: list[int]) -> int:
+def _product(factors: Sequence[int]) -> int:
     """Product of ints by pairs, level by level: the large multiplies get
     operands of like size, which a one-at-a-time fold never does."""
     while len(factors) > 1:
@@ -392,7 +392,7 @@ def det_cofactor(matrix, size_cap: int = 7):
     n = len(m)
     if n > size_cap:
         raise SizeCapError(f"cofactor expansion capped at size {size_cap}, got {n}")
-    zero, one = zero_like(m[0][0]), one_like(m[0][0])
+    zero, one = ring_identities(m[0][0])
     t = (n - 1) // 2
     top, bottom = _subset_minors(m[:t], n, zero, one), _subset_minors(m[t:], n, zero, one)
     full = (1 << n) - 1
@@ -434,8 +434,7 @@ def vandermonde_duality_residual(nodes: Sequence) -> DualityResidual:
     if n == 0:
         raise ValueError("node list must not be empty")
     matrix = build_ci_matrix(nodes)
-    zero = zero_like(nodes[0])
-    one = one_like(nodes[0])
+    zero, one = ring_identities(nodes[0])
     max_offdiag = abs(zero)
     max_diag_rel = abs(zero)
     scale = abs(one)

@@ -54,7 +54,7 @@ from itertools import count, repeat
 from operator import add, neg, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalars import rational_to_string
+from .scalars import difference_product, rational_to_string
 
 Monomial = tuple  # exponent vector, one slot per variable
 
@@ -185,11 +185,8 @@ class MultiPoly:
         return MultiPoly(nvars, {tuple(exponents): Fraction(1)})
 
     # Ring-contract hooks used by the generic kernels.
-    def ring_zero(self) -> "MultiPoly":
-        return MultiPoly.zero(self.nvars)
-
-    def ring_one(self) -> "MultiPoly":
-        return MultiPoly.one(self.nvars)
+    def ring_identities(self) -> tuple["MultiPoly", "MultiPoly"]:
+        return MultiPoly.zero(self.nvars), MultiPoly.one(self.nvars)
 
     def ring_sum_of_products(self, pairs: Iterable[tuple]) -> "MultiPoly":
         """The sum of a * b over ``pairs``, summed in one term map; each
@@ -387,21 +384,10 @@ def variables(nvars: int) -> tuple[MultiPoly, ...]:
 def vandermonde_product(n: int) -> MultiPoly:
     """Fully expanded pairwise-difference product over u1..un.
 
-    The product of (uj - ui) over all 1 <= i < j <= n: homogeneous of total
-    degree n(n-1)/2, with n! monomials of coefficient +-1.  n=1 gives the
-    empty product 1.
+    ``scalars.difference_product`` of ``variables(n)``: homogeneous of
+    total degree n(n-1)/2, with n! monomials of coefficient +-1.  n=1 gives
+    the empty product 1.
     """
     if n < 1:
         raise ValueError("need at least one variable")
-    u = variables(n)
-    result = MultiPoly.one(n)
-    # Row by row (j outer): the row product R_j = prod_{i<j} (uj - ui) has
-    # at most 2^j terms and is formed first, so the partial product, the
-    # pairwise-difference product of u1..u(j+1) with (j+1)! terms, takes
-    # one multiply per row instead of one per factor.
-    for j in range(1, n):
-        row = u[j] - u[0]
-        for i in range(1, j):
-            row = row * (u[j] - u[i])
-        result = result * row
-    return result
+    return difference_product(variables(n))

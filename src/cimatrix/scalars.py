@@ -11,12 +11,13 @@ concrete scalar families are supported out of the box:
 * machine floats -- built-in ``float``, with non-finite values rejected
   at module boundaries,
 * sparse multivariate polynomials -- :class:`cimatrix.multipoly.MultiPoly`,
-  which plugs into the helpers below through its ``ring_zero``,
-  ``ring_one`` and ``ring_sum_of_products`` hooks.
+  which plugs into the helpers below through its ``ring_identities`` and
+  ``ring_sum_of_products`` hooks.
 
-The helpers here (``zero_like``, ``one_like``, ``sum_of_products``) are
-the whole ring contract: algorithms never inspect concrete types beyond
-them.  ``exact_div`` is the checked int division of the exact kernels.
+The helpers here (``ring_identities``, ``sum_of_products`` and
+``difference_product``) are the whole ring contract: the generic kernels
+never inspect concrete types beyond them.  ``exact_div`` is the checked int
+division of the exact kernels.
 """
 
 from __future__ import annotations
@@ -149,42 +150,17 @@ def float_to_string(value: float) -> str:
     return repr(value)
 
 
-def is_exact(nodes) -> bool:
-    """True unless a node is a float: the one rule that picks the kernel of
-    a node list.  Any float node selects the float kernel, wherever it
-    stands; int, Fraction and polynomial nodes are exact."""
-    return not any(isinstance(x, float) for x in nodes)
-
-
-def zero_like(sample):
-    """Additive identity in the ring of ``sample``."""
-    hook = getattr(sample, "ring_zero", None)
+def ring_identities(sample) -> tuple:
+    """(zero, one) of the ring of ``sample``, from its ``ring_identities``
+    hook or as int, float or Fraction; a bool or other type is a TypeError."""
+    hook = getattr(sample, "ring_identities", None)
     if hook is not None:
         return hook()
     if isinstance(sample, bool):
         raise TypeError("bool is not a ring scalar")
-    if isinstance(sample, int):
-        return 0
-    if isinstance(sample, float):
-        return 0.0
-    if isinstance(sample, Fraction):
-        return Fraction(0)
-    raise TypeError(f"unsupported scalar type {type(sample).__name__}")
-
-
-def one_like(sample):
-    """Multiplicative identity in the ring of ``sample``."""
-    hook = getattr(sample, "ring_one", None)
-    if hook is not None:
-        return hook()
-    if isinstance(sample, bool):
-        raise TypeError("bool is not a ring scalar")
-    if isinstance(sample, int):
-        return 1
-    if isinstance(sample, float):
-        return 1.0
-    if isinstance(sample, Fraction):
-        return Fraction(1)
+    for kind in (int, float, Fraction):
+        if isinstance(sample, kind):
+            return kind(0), kind(1)
     raise TypeError(f"unsupported scalar type {type(sample).__name__}")
 
 
@@ -202,6 +178,23 @@ def sum_of_products(pairs, zero):
     for a, b in pairs:
         total = total + a * b
     return total
+
+
+def difference_product(nodes):
+    """prod_{i<j} (nodes[j] - nodes[i]) over any ring, for one or more nodes.
+
+    Row by row (j outer): the row product R_j = prod_{i<j} (x_j - x_i) is
+    formed first, so a polynomial row has at most 2^j terms and the partial
+    product, the difference product of the first j+1 nodes, takes one
+    multiply per row instead of one per factor.
+    """
+    _, det = ring_identities(nodes[0])
+    for j in range(1, len(nodes)):
+        row = nodes[j] - nodes[0]
+        for i in range(1, j):
+            row = row * (nodes[j] - nodes[i])
+        det = det * row
+    return det
 
 
 def exact_div(a: int, b: int) -> int:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import exact_div, one_like, zero_like
+from .scalars import exact_div, ring_identities
 
 
 def _check_nodes(nodes: Sequence) -> int:
@@ -46,8 +46,7 @@ def elem_sym_all(nodes: Sequence, denominators: Sequence[int] | None = None) -> 
     prod_i (q_i + p_i t), lowest degree first: (prod_i q_i) * e_m(x).
     """
     n = _check_nodes(nodes)
-    one = one_like(nodes[0])
-    zero = zero_like(nodes[0])
+    zero, one = ring_identities(nodes[0])
     e = [one] + [zero] * n
     for inserted, x in enumerate(nodes, start=1):
         q = 1 if denominators is None else denominators[inserted - 1]

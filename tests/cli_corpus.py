@@ -89,6 +89,9 @@ ARGVS += [
     ["det", "--mu", _nodes(range(1, 28)), "--oracle", "lu"],
     ["det", "--mu", _nodes(range(1, 201)), "--oracle", "lu"],
     ["det", "--mu", "1e-400,0", "--oracle", "lu"],
+    # the float closed form keeps the determinant 2e-300, which the LU, on
+    # a float build whose entries underflow, misses: exit 3
+    ["det", "--mu", "0,1e-200,2e-200,1e100", "--oracle", "lu"],
     ["bench", "--n-list", "2,4", "--repeats", "1", "--seed", "3"],
     # long exact Bareiss runs on int and p/q nodes
     ["det", "--mu", _nodes(range(1, 101)), "--oracle", "bareiss"],

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from cimatrix.scalars import one_like, rational_from_string, zero_like
+from cimatrix.scalars import rational_from_string, ring_identities
 from cimatrix.symfunc import elem_sym_all
 
 GOLDEN_N4_ENTRIES = [
@@ -69,7 +69,7 @@ def recomputed_leave_one_out(nodes, k: int) -> list:
     from scratch on the reduced list: the reference for the deflation build."""
     remaining = list(nodes[: k - 1]) + list(nodes[k:])
     if not remaining:
-        return [one_like(nodes[0])]
+        return [ring_identities(nodes[0])[1]]
     return elem_sym_all(remaining)[: len(nodes)]
 
 
@@ -84,8 +84,7 @@ def ring_axiom_failures(samples) -> list[str]:
     if len(samples) < 3:
         raise ValueError("need at least 3 samples")
     failures = []
-    zero = zero_like(samples[0])
-    one = one_like(samples[0])
+    zero, one = ring_identities(samples[0])
     for a in samples:
         if not (a + zero == a and a * one == a):
             failures.append(f"identity laws fail at {a!r}")

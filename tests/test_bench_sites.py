@@ -132,3 +132,33 @@ def test_a_traced_verify_request_reaches_every_layer(capsys):
     for restored in (cimatrix.cli.main, cimatrix.verifier.det_cofactor,
                      cimatrix.multipoly.MultiPoly.identify_variables):
         assert not hasattr(restored, "__wrapped__")
+
+
+# The layers the traced ``float_logdet`` workload reports, one request being
+# ``closed_form_logdet``, ``build_ci_matrix`` and ``lu_logdet`` on the same
+# float nodes.
+FLOAT_LAYERS = (
+    "matrix.closed_form_logdet",
+    "matrix.build_ci_matrix",
+    "symfunc.leave_one_out_table_float",
+    "matrix.lu_logdet",
+)
+
+
+def test_a_traced_float_request_reaches_every_layer():
+    nodes = cimatrix.cli.draw_bench_nodes(16, 1)
+    tracer = _spans.Tracer()
+    tracer.request = 0
+    saved = _spans.install(tracer)
+    try:
+        # Looked up on ``cimatrix`` after the rebinding, as the serving
+        # process does.
+        assert cimatrix.closed_form_logdet(nodes)[0] == 1
+        cimatrix.lu_logdet(cimatrix.build_ci_matrix(nodes))
+    finally:
+        _spans.restore(saved)
+    reached = {record[0] for record in tracer.spans}
+    assert [layer for layer in FLOAT_LAYERS if layer not in reached] == []
+    for restored in (cimatrix.closed_form_logdet, cimatrix.build_ci_matrix, cimatrix.lu_logdet,
+                     cimatrix.matrix.leave_one_out_table_float):
+        assert not hasattr(restored, "__wrapped__")

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -32,7 +33,7 @@ from cimatrix.multipoly import (
     vandermonde_product,
     variables,
 )
-from cimatrix.scalars import one_like, zero_like
+from cimatrix.scalars import ring_identities
 
 NODES_123 = [Fraction(1), Fraction(2), Fraction(3)]
 
@@ -132,6 +133,56 @@ def test_float_closed_form_of_a_repeated_node_is_zero():
         assert det_closed_form([2.0, 1.0, 2.0]) == 0.0
         with pytest.raises(NumericalError, match="closed form"):
             det_closed_form([1e200, -1e200, 3e200])
+
+
+# Floats across the whole range: zeros, subnormals, 1e+-300 and wide
+# exponents, so that partial products of the gaps underflow and overflow.
+FLOAT_NODES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-300, -1e-300, 1e300, -1e300, 1.0, -3.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-2.0, 2.0), st.integers(-1074, 1020)),
+)
+
+
+@st.composite
+def float_node_lists(draw):
+    """Up to 9 finite floats; half the lists draw with replacement from a
+    pool, so nodes repeat."""
+    pool = draw(st.lists(FLOAT_NODES, min_size=1, max_size=9))
+    if draw(st.booleans()):
+        return pool
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+
+
+@given(float_node_lists())
+@example([0.0, 1e-200, 2e-200, 1e100])  # partial products underflow: 2e-300
+@example([0.0, 1e-200, 2e-200, 1e200])  # one underflows, one overflows: ~2.0
+def test_float_closed_form_is_the_exact_product_rounded_once(nodes):
+    exact = math.prod(Fraction(b) - Fraction(a) for a, b in combinations(nodes, 2))
+    try:
+        expected = float(exact)
+    except OverflowError:
+        with pytest.raises(NumericalError, match="closed form"):
+            det_closed_form(nodes)
+    else:
+        assert det_closed_form(nodes) == expected
+
+
+DECIMALS = [Decimal(1), Decimal(2)]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: build_ci_matrix([True, 2]), id="bool build"),
+    pytest.param(lambda: det_closed_form([True, 1]), id="bool closed form"),
+    pytest.param(lambda: det_cofactor([[True]]), id="bool cofactor"),
+    pytest.param(lambda: vandermonde_duality_residual([True]), id="bool duality"),
+    pytest.param(lambda: build_ci_matrix(DECIMALS), id="Decimal build"),
+    pytest.param(lambda: det_closed_form(DECIMALS), id="Decimal closed form"),
+    pytest.param(lambda: det_cofactor([DECIMALS, DECIMALS]), id="Decimal cofactor"),
+])
+def test_the_ring_contract_refuses_bools_and_unsupported_scalars(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_repeated_nodes_give_identical_columns():
@@ -490,9 +541,9 @@ def leibniz_det(rows):
     """Sum over permutations of signed entry products, built from ``*`` and
     ``+`` alone: the reference for the fused cofactor expansion."""
     n = len(rows)
-    total = zero_like(rows[0][0])
+    total, one = ring_identities(rows[0][0])
     for perm in permutations(range(n)):
-        term = one_like(rows[0][0])
+        term = one
         for i, j in enumerate(perm):
             term = term * rows[i][j]
         total = total + permutation_sign(perm) * term
@@ -506,10 +557,10 @@ def folded_cofactor(rows):
     minors, and the join runs over the top subsets in ``combinations`` order."""
     n = len(rows)
     t = (n - 1) // 2
-    zero = zero_like(rows[0][0])
+    zero, one = ring_identities(rows[0][0])
 
     def subset_minors(block):
-        minors = {0: one_like(rows[0][0])}
+        minors = {0: one}
         for size in range(1, len(block) + 1):
             row = block[len(block) - size]
             next_minors = {}
