@@ -9,15 +9,14 @@ without forming the matrix.
 
 ``_rational_parts`` is the one rule that picks a kernel: it reads int,
 Fraction and finite float nodes as x_i = p_i / q_i (a float is a dyadic
-rational) and names the result type.  ``build_ci_matrix`` has one path
-per scalar domain: exact nodes deflate one shared ``elem_sym_all`` table
-into n columns, on ints for rational nodes, and float nodes take the
-vectorized ``leave_one_out_table_float`` and keep it as a read-only
-float64 array, with no per-entry Python objects.  ``det_closed_form``
-multiplies the int gaps of every number node list, and rounds once on
-float nodes; polynomial nodes take ``scalars.difference_product``.  Float
-results that overflow on finite nodes raise ``NumericalError`` where they
-happen (the float build, the float ``det_closed_form``, ``lu_logdet`` and
+rational) and names the result type.  ``build_ci_matrix`` reverses the
+rows of one leave-one-out table: exact nodes deflate (on ints for p/q
+nodes), and float nodes keep the numpy table as a read-only float64
+array, with no per-entry Python objects.  ``det_closed_form`` multiplies
+the int gaps of every number node list, and rounds once on float nodes;
+polynomial nodes take ``scalars.difference_product``.  Float results
+that overflow on finite nodes raise ``NumericalError`` where they happen
+(the float build, the float ``det_closed_form``, ``lu_logdet`` and
 ``det_lu``), never return inf/nan.
 
 Three independent determinant oracles witness that identity:
@@ -49,7 +48,7 @@ import numpy as np
 
 from .multipoly import variables
 from .scalars import difference_product, exact_div, ring_identities, sum_of_products
-from .symfunc import elem_sym_all, elem_sym_leave_one_out, leave_one_out_table_float
+from .symfunc import elem_sym_leave_one_out, leave_one_out_table_float
 
 
 class SizeCapError(ValueError):
@@ -111,13 +110,14 @@ def _rational_parts(nodes: Sequence) -> tuple[tuple[int, ...], tuple[int, ...], 
 def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     """Construct the CI-matrix of the given nodes.
 
-    Exact scalars deflate one shared full table (O(n^2) ring operations
-    total); a node list with any float node (``_rational_parts``) is a
-    float list, which recomputes every column stably, all columns at once.
-    Rational nodes p_i / q_i deflate on ints: column k holds
-    Q_k * e_m(x without k) with Q_k = prod_{i != k} q_i, and each entry
-    becomes ``Fraction(b, Q_k)``.  All-int nodes give int entries; any
-    Fraction node gives Fraction entries.
+    One kernel call gives the leave-one-out table T[m][k-1] = e_m(x without
+    k), and row h of the matrix is row n-h of the table.  Exact scalars
+    deflate one shared full table (O(n^2) ring operations); a node list
+    with any float node (``_rational_parts``) is a float list, which
+    recomputes every column stably.  Rational nodes p_i / q_i deflate on
+    ints: column k holds Q_k * e_m(x without k) with Q_k = prod_{i != k}
+    q_i, and each entry becomes ``Fraction(b, Q_k)``.  All-int nodes give
+    int entries; any Fraction node gives Fraction entries.
     """
     n = len(nodes)
     if n == 0:
@@ -127,21 +127,16 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
         table = leave_one_out_table_float(nodes)
         if not np.all(np.isfinite(table)):
             raise NumericalError("float CI-matrix build: an entry is not finite")
-        # Row h holds e_{n-h}: the table's rows, bottom to top.
-        return CIMatrix(n, tuple(float(x) for x in nodes), table[::-1])
-    numerators, denominators, kind = (nodes, None, None) if parts is None else parts
-    full = elem_sym_all(numerators, denominators)
-    columns = [
-        elem_sym_leave_one_out(numerators, k, full_table=full, denominators=denominators)
-        for k in range(1, n + 1)
-    ]
-    if kind is Fraction:
-        # b_0 = Q_k: the bottom row comes out as 1.
-        columns = [[Fraction(b, column[0]) for b in column] for column in columns]
-    entries = tuple(
-        tuple(columns[k][n - h] for k in range(n)) for h in range(1, n + 1)
-    )
-    return CIMatrix(n, tuple(nodes), entries)
+        nodes = [float(x) for x in nodes]
+    else:
+        numerators, denominators, kind = (nodes, None, None) if parts is None else parts
+        table = elem_sym_leave_one_out(numerators, denominators)
+        if kind is Fraction:
+            # Row 0 holds Q_k: the bottom row comes out as 1.
+            table = [[Fraction(b, q) for b, q in zip(row, table[0])] for row in table]
+        table = tuple(map(tuple, table))
+    # Row h holds e_{n-h}: the table's rows, bottom to top.
+    return CIMatrix(n, tuple(nodes), table[::-1])
 
 
 def symbolic_ci_matrix(n: int) -> CIMatrix:
@@ -158,7 +153,8 @@ def det_closed_form(nodes: Sequence):
     in a balanced product tree and divide once by prod_i q_i^(n-1): an int
     for all-int nodes, a Fraction if any node is one, and for any float node
     the exact value rounded once to a float (``NumericalError`` if it
-    overflows).  Polynomial nodes take ``scalars.difference_product``.
+    overflows, refused from the gaps' bit lengths where that is sure).
+    Polynomial nodes take ``scalars.difference_product``.
     """
     n = len(nodes)
     if n == 0:
@@ -168,8 +164,12 @@ def det_closed_form(nodes: Sequence):
         return difference_product(nodes)
     p, q, kind = parts
     gaps = [p[j] * q[i] - p[i] * q[j] for i in range(n) for j in range(i + 1, n)]
-    det = 0 if 0 in gaps else _product(gaps)
     scale = _product(q) ** (n - 1)
+    if kind is float and 0 not in gaps:
+        # Where it fires, |det| >= 2^sum(bitlen(g) - 1) > 2^1024 * scale: no tree is needed.
+        if sum(g.bit_length() - 1 for g in gaps) - scale.bit_length() >= 1024:
+            raise NumericalError("float closed form: the product is not finite")
+    det = 0 if 0 in gaps else _product(gaps)
     if kind is float:
         try:
             return det / scale  # int true division rounds correctly

@@ -4,22 +4,22 @@ Given nodes (x1, ..., xn), e_m denotes the m-th elementary symmetric
 polynomial: the sum of all products of m distinct nodes, with e_0 = 1.
 ``elem_sym_all`` evaluates the full set via the one-pass insertion
 recurrence (O(n^2) ring operations).  Each scalar domain then has one
-leave-one-out kernel:
+leave-one-out kernel, and each returns the whole table in one call, in one
+layout: T[m][k-1] = e_m of the nodes without node k.
 
 * exact scalars deflate: ``elem_sym_leave_one_out`` runs the synthetic
-  division recurrence e_m(without k) = e_m(all) - x_k * e_{m-1}(without k),
-  O(n) per node given the full table, with no rounding to fear.  Rational
-  nodes x_i = p_i / q_i run the same two recurrences on ints: given the
-  ``denominators`` q_i, the nodes are the numerators p_i, the full table
-  holds the coefficients of prod_i (q_i + p_i t), and deflating node k
-  divides out (q_k + p_k t) with exact, checked int divisions.  A node
-  with q = 1 (every int, MultiPoly or ``denominators=None`` node) skips
-  the multiply and the divide, which leaves the plain recurrences;
+  division recurrence e_m(without k) = e_m(all) - x_k * e_{m-1}(without k)
+  on one ``elem_sym_all`` table, a row for all k at a time, O(n^2) in all,
+  with no rounding to fear.  Rational nodes x_i = p_i / q_i run the same
+  two recurrences on ints: given the ``denominators`` q_i, the nodes are
+  the numerators p_i, the full table holds the coefficients of
+  prod_i (q_i + p_i t), and deflating node k divides out (q_k + p_k t)
+  with exact, checked int divisions.  A node with q = 1 (every int,
+  MultiPoly or ``denominators=None`` node) skips the multiply and the
+  divide, which leaves the plain recurrences;
 * floats recompute on the reduced node set, because deflation subtracts
   nearly equal quantities.  ``leave_one_out_table_float`` does this for
   every node at once with numpy and backs the float matrix builder.
-
-Node indices are 1-based throughout the public interface.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ import numpy as np
 from .scalars import exact_div, ring_identities
 
 
-def _check_nodes(nodes: Sequence) -> int:
-    n = len(nodes)
-    if n == 0:
-        raise ValueError("node list must not be empty")
-    return n
-
-
 def elem_sym_all(nodes: Sequence, denominators: Sequence[int] | None = None) -> list:
     """All elementary symmetric polynomials of the nodes: [e_0, ..., e_n].
 
@@ -45,7 +38,9 @@ def elem_sym_all(nodes: Sequence, denominators: Sequence[int] | None = None) -> 
     x_i = p_i / q_i and the result is the coefficient list of
     prod_i (q_i + p_i t), lowest degree first: (prod_i q_i) * e_m(x).
     """
-    n = _check_nodes(nodes)
+    n = len(nodes)
+    if n == 0:
+        raise ValueError("node list must not be empty")
     zero, one = ring_identities(nodes[0])
     e = [one] + [zero] * n
     for inserted, x in enumerate(nodes, start=1):
@@ -57,32 +52,22 @@ def elem_sym_all(nodes: Sequence, denominators: Sequence[int] | None = None) -> 
     return e
 
 
-def elem_sym_leave_one_out(
-    nodes: Sequence,
-    k: int,
-    full_table: Sequence | None = None,
-    denominators: Sequence[int] | None = None,
-) -> list:
-    """[e_0, ..., e_{n-1}] of the nodes with node k (1-based) removed.
+def elem_sym_leave_one_out(nodes: Sequence, denominators: Sequence[int] | None = None) -> list:
+    """Leave-one-out table for exact nodes, as ``leave_one_out_table_float``
+    lays it out: n rows of n, T[m][k-1] = e_m of the nodes without node k.
 
-    ``full_table`` lets callers share one ``elem_sym_all`` result across all
-    n deflated columns, which is what makes a whole-matrix build O(n^2).
-    With ``denominators`` (as in ``elem_sym_all``), the result is the
-    coefficient list of prod_{i != k} (q_i + p_i t):
-    (prod_{i != k} q_i) * e_m(x without k).
+    Row m deflates row m-1 against the one ``elem_sym_all`` table.  With
+    ``denominators`` (as in ``elem_sym_all``), column k-1 holds the
+    coefficients of prod_{i != k} (q_i + p_i t): (prod_{i != k} q_i) *
+    e_m(x without k).
     """
-    n = _check_nodes(nodes)
-    if not 1 <= k <= n:
-        raise ValueError(f"node index {k} out of range 1..{n}")
-    if full_table is None:
-        full_table = elem_sym_all(nodes, denominators)
-    x = nodes[k - 1]
-    q = 1 if denominators is None else denominators[k - 1]
-    out = [full_table[0] if q == 1 else exact_div(full_table[0], q)]
-    for m in range(1, n):
-        b = full_table[m] - x * out[m - 1]
-        out.append(b if q == 1 else exact_div(b, q))
-    return out
+    full = elem_sym_all(nodes, denominators)
+    qs = [1] * len(nodes) if denominators is None else denominators
+    table = [[full[0] if q == 1 else exact_div(full[0], q) for q in qs]]
+    for e in full[1:-1]:
+        deflated = [e - x * b for x, b in zip(nodes, table[-1])]
+        table.append([b if q == 1 else exact_div(b, q) for b, q in zip(deflated, qs)])
+    return table
 
 
 def leave_one_out_table_float(nodes: Sequence[float]) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cimatrix.matrix
 from conftest import GOLDEN_N4_ENTRIES, random_distinct_fractions, recomputed_leave_one_out
 from cimatrix.cli import draw_bench_nodes
 from cimatrix.matrix import (
@@ -71,6 +72,21 @@ def test_build_modes_agree_over_rationals():
     m = build_ci_matrix(nodes)
     for k in range(1, 8):
         assert list(m.column(k)) == recomputed_leave_one_out(nodes, k)[::-1]
+
+
+@pytest.mark.parametrize("nodes", [
+    pytest.param([3, -1, 4, 1, 5], id="int"),
+    pytest.param([Fraction(1, 2), Fraction(-3, 7), 5, Fraction(22, 9)], id="rational"),
+    pytest.param(variables(4), id="symbolic"),
+])
+def test_exact_build_calls_the_kernel_once(nodes, monkeypatch):
+    # One call returns the whole leave-one-out table, not one column.
+    calls = []
+    kernel = cimatrix.matrix.elem_sym_leave_one_out
+    monkeypatch.setattr(cimatrix.matrix, "elem_sym_leave_one_out",
+                        lambda *args, **kwargs: calls.append(args) or kernel(*args, **kwargs))
+    build_ci_matrix(nodes)
+    assert len(calls) == 1
 
 
 def test_build_float_path_matches_exact():
@@ -166,6 +182,19 @@ def test_float_closed_form_is_the_exact_product_rounded_once(nodes):
             det_closed_form(nodes)
     else:
         assert det_closed_form(nodes) == expected
+
+
+def test_float_closed_form_refuses_a_sure_overflow_before_the_product_tree(monkeypatch):
+    # On n=256 bench nodes the gap bit lengths alone put |det| past 2^1024,
+    # so the n(n-1)/2 gaps never reach the product tree.
+    nodes = draw_bench_nodes(256, 1)
+    sizes = []
+    product = cimatrix.matrix._product
+    monkeypatch.setattr(cimatrix.matrix, "_product",
+                        lambda factors: sizes.append(len(factors)) or product(factors))
+    with pytest.raises(NumericalError, match="closed form"):
+        det_closed_form(nodes)
+    assert 256 * 255 // 2 not in sizes
 
 
 DECIMALS = [Decimal(1), Decimal(2)]

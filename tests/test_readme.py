@@ -1,5 +1,6 @@
-"""Run every ``cimatrix`` example in the README's ``sh`` blocks, and hold
-the README's list of public names to ``cimatrix.__all__``.
+"""Run every ``cimatrix`` example in the README's ``sh`` blocks and its
+Library example, and hold the README's list of public names to
+``cimatrix.__all__``.
 
 Each command runs in process through ``cimatrix.cli.main``.  It must exit
 0, or N where its comment says ``exits N``, and print the ``# `` lines
@@ -11,6 +12,7 @@ ends the comparison.
 import os
 import re
 import shlex
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +64,25 @@ def test_readme_example(command, shown):
             assert printed[i].startswith(expected[:-3])
         else:
             assert printed[i] == expected
+
+
+def test_readme_library_example():
+    # The one ``python`` block runs in a fresh namespace; its comments state
+    # the values checked here.
+    with open(README) as f:
+        blocks = re.findall(r"^```python\n(.*?)^```$", f.read(), re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    ns: dict = {}
+    exec(blocks[0], ns)
+    m, nodes = ns["m"], ns["nodes"]
+    assert m.entries == ((6, 3, 2), (5, 4, 3), (1, 1, 1))
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    for det in (ns["det_closed_form"](nodes), ns["det_bareiss"](m)):
+        assert det == 2 and type(det) is Fraction
+    assert ns["det_cofactor"](ns["symbolic_ci_matrix"](3)) == ns["vandermonde_product"](3)
+    assert ns["verify_suite"](4).passed
+    residual = ns["vandermonde_duality_residual"](nodes)
+    assert residual.max_offdiag == 0 and residual.max_diag_rel == 0
 
 
 def test_readme_lists_the_public_names():

@@ -107,10 +107,14 @@ def test_suite_expands_each_size_once(n, monkeypatch):
     assert expansions == [n]
 
 
-def first_node_zero_block_with(monkeypatch, n, matrix, det):
+def symbolic_inputs(monkeypatch, matrix, det):
     # Both cached inputs are replaced, so each test fixes what every check reads.
     monkeypatch.setattr(cimatrix.verifier, "_symbolic_matrix", lambda size: matrix)
     monkeypatch.setattr(cimatrix.verifier, "_symbolic_det", lambda size: det)
+
+
+def first_node_zero_block_with(monkeypatch, n, matrix, det):
+    symbolic_inputs(monkeypatch, matrix, det)
     return verify_first_node_zero_block(n)
 
 
@@ -141,6 +145,56 @@ def test_first_node_zero_block_fails_on_a_wrong_determinant(monkeypatch):
     result = first_node_zero_block_with(monkeypatch, n, symbolic_ci_matrix(n), det)
     assert not result.passed
     assert result.witness == "determinant does not factor through the trailing block"
+
+
+def test_first_node_zero_block_fails_on_a_nonzero_trailing_entry(monkeypatch):
+    n = 4
+    matrix = symbolic_ci_matrix(n)
+    _, u2, u3, _ = variables(n)
+    bad = with_entry(matrix, 1, 2, matrix.entry(1, 2) + u2 * u3)
+    result = first_node_zero_block_with(monkeypatch, n, bad, vandermonde_product(n))
+    assert result.passed is False
+    assert result.witness == "first row has a nonzero trailing entry"
+
+
+def test_row_degrees_names_an_inhomogeneous_entry(monkeypatch):
+    n = 3
+    matrix = symbolic_ci_matrix(n)
+    u1, u2, _ = variables(n)
+    symbolic_inputs(monkeypatch, with_entry(matrix, 2, 1, matrix.entry(2, 1) + u1 * u2),
+                    vandermonde_product(n))
+    result = verify_row_degrees(n)
+    assert result.passed is False
+    assert result.witness == "(2,1) degrees [1, 2]"
+
+
+def test_equal_columns_fails_on_a_determinant_that_survives(monkeypatch):
+    n = 3
+    u1 = variables(n)[0]
+    symbolic_inputs(monkeypatch, symbolic_ci_matrix(n), vandermonde_product(n) + u1)
+    result = verify_equal_column_vanish(n, 1, 2)
+    assert result.passed is False
+    assert result.witness == "determinant nonzero after identification"
+
+
+def test_equal_columns_fails_on_columns_that_differ(monkeypatch):
+    n = 3
+    matrix = symbolic_ci_matrix(n)
+    u3 = variables(n)[2]
+    symbolic_inputs(monkeypatch, with_entry(matrix, 2, 1, matrix.entry(2, 1) + u3),
+                    vandermonde_product(n))
+    result = verify_equal_column_vanish(n, 1, 2)
+    assert result.passed is False
+    assert result.witness == "columns 1 and 2 differ after identification"
+
+
+def test_determinant_identity_fails_on_a_zero_expansion(monkeypatch):
+    n = 3
+    symbolic_inputs(monkeypatch, symbolic_ci_matrix(n), MultiPoly.zero(n))
+    result, constant = verify_determinant_identity(n)
+    assert result.passed is False
+    assert result.witness == "determinant expanded to 0"
+    assert constant is None
 
 
 def test_first_node_zero_block_needs_size_two():
