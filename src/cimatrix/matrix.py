@@ -153,7 +153,7 @@ def det_closed_form(nodes: Sequence):
     in a balanced product tree and divide once by prod_i q_i^(n-1): an int
     for all-int nodes, a Fraction if any node is one, and for any float node
     the exact value rounded once to a float (``NumericalError`` if it
-    overflows, refused from the gaps' bit lengths where that is sure).
+    overflows, refused from the gaps' log2 sum where that is sure).
     Polynomial nodes take ``scalars.difference_product``.
     """
     n = len(nodes)
@@ -166,8 +166,10 @@ def det_closed_form(nodes: Sequence):
     gaps = [p[j] * q[i] - p[i] * q[j] for i in range(n) for j in range(i + 1, n)]
     scale = _product(q) ** (n - 1)
     if kind is float and 0 not in gaps:
-        # Where it fires, |det| >= 2^sum(bitlen(g) - 1) > 2^1024 * scale: no tree is needed.
-        if sum(g.bit_length() - 1 for g in gaps) - scale.bit_length() >= 1024:
+        # Where it fires, |det| > 2^1024 * scale: log2 |det| >= bound - margin, and the
+        # margin dwarfs log2's rounding, a few units of 2^-52 * (1 + log2|g|) per gap.
+        bound = math.fsum(map(math.log2, map(abs, gaps)))
+        if bound - (bound + len(gaps)) * 2**-40 - scale.bit_length() >= 1024:
             raise NumericalError("float closed form: the product is not finite")
     det = 0 if 0 in gaps else _product(gaps)
     if kind is float:

@@ -33,16 +33,18 @@ raw sums, checked for guard bits over every key, cancelled ones included.
 ``*`` is its one-pair case, ``+`` feeds it products with 1, and
 ``ring_sum_of_products`` a whole cofactor minor, or the join of the row
 split, from ``matrix.det_cofactor``, normalized once instead of once per
-product and per partial sum.  ``substitute`` and ``identify_variables``
-each move every term in one pass of their own; the latter guard-checks
-the terms that survive, since a merged exponent past the limit may cancel.
+product and per partial sum.  ``substitute``, ``identify_variables`` and
+``swap_variables`` each move every term in one pass of their own; the
+identification guard-checks the terms that survive, since a merged
+exponent past the limit may cancel, and the swap, a bijection, none.
 
 Queries read exponents from one table: all keys' fields, flat, in term-map
 order, decoded on first use by one ``struct`` unpack, so a cofactor minor or
 a product never pays for it.  ``terms`` (exponent tuple -> nonzero Fraction)
 and the degree queries read its rows, ``substitute`` and the identification
-a column.  Values are immutable by convention: no method changes a term map
-and every operation returns a fresh polynomial, so a table never goes stale.
+a column, the swap two.  Values are immutable by convention: no method
+changes a term map and every operation returns a fresh polynomial, so a
+table never goes stale.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count, repeat
-from operator import add, neg, or_
+from operator import add, mul, neg, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import difference_product, rational_to_string
@@ -136,11 +138,21 @@ class MultiPoly:
     def _canonical(cls, nvars: int, sums: dict) -> "MultiPoly":
         """The polynomial of a packed map of raw sums, without the checks on
         outside input."""
+        return cls._wrap(nvars, _canonical_terms(nvars, sums))
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """The polynomial of a packed term map already in canonical form."""
         poly = cls.__new__(cls)
         poly.nvars = nvars
-        poly._terms = _canonical_terms(nvars, sums)
+        poly._terms = terms
         poly._table = None
         return poly
+
+    def _check_indices(self, *indices: int) -> None:
+        for index in indices:
+            if not 1 <= index <= self.nvars:
+                raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
 
     def _exponents(self) -> tuple[int, ...]:
         """The exponent table (module docstring), u1's field first."""
@@ -242,7 +254,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._canonical(self.nvars, {m: -c for m, c in self._terms.items()})
+        return MultiPoly._wrap(self.nvars, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -277,8 +289,7 @@ class MultiPoly:
         The ambient variable count is unchanged; the substituted variable
         simply no longer occurs.
         """
-        if not 1 <= index <= self.nvars:
-            raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
+        self._check_indices(index)
         value = Fraction(value)
         if value.denominator == 1:
             value = value.numerator
@@ -301,9 +312,7 @@ class MultiPoly:
         Exponents of the replaced variable are folded onto the kept one, so
         the result lives in the same ambient ring.
         """
-        for index in (keep, replace):
-            if not 1 <= index <= self.nvars:
-                raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
+        self._check_indices(keep, replace)
         if keep == replace:
             return self
         column = self._exponents()[replace - 1 :: self.nvars]
@@ -318,6 +327,17 @@ class MultiPoly:
         # Only the surviving terms meet the guard check: a merged exponent
         # past the limit may cancel, and the result is then representable.
         return MultiPoly._canonical(self.nvars, {m: c for m, c in sums.items() if c})
+
+    def swap_variables(self, a: int, b: int) -> "MultiPoly":
+        """Exchange u<a> and u<b> (both 1-based): adding (e_b - e_a) * move
+        to a key writes e_b into field a and e_a into field b."""
+        self._check_indices(a, b)
+        if a == b:
+            return self
+        n, table = self.nvars, self._exponents()
+        move = (1 << _shift(n, a - 1)) - (1 << _shift(n, b - 1))
+        deltas = map(mul, map(sub, table[b - 1 :: n], table[a - 1 :: n]), repeat(move))
+        return MultiPoly._wrap(n, dict(zip(map(add, self._terms, deltas), self._terms.values())))
 
     def evaluate(self, point: Sequence):
         """Exact value at ``point`` (one scalar per variable)."""

@@ -543,3 +543,34 @@ def test_det_and_gen_end_in_an_answer_or_one_error_line(nodes):
     assert code == 0 and err == ""
     parsed = [rational_from_string(text) for text, _ in nodes]
     assert read_gen_json(out)["entries"] == [list(row) for row in build_ci_matrix(parsed).entries]
+
+
+# Float nodes for the float paths: reprs (inf and nan included), text past
+# the float range either way, ints, and p/q with zero denominators.
+FLOAT_NODE_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.tuples(st.integers(-9, 9), st.sampled_from(["e330", "e+330", "e-330"])).map(
+        lambda de: f"{de[0]}{de[1]}"
+    ),
+    st.integers(-20, 20).map(str),
+    st.tuples(st.integers(-20, 20), st.integers(-6, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+)
+
+
+@given(st.lists(FLOAT_NODE_TEXTS, min_size=1, max_size=8))
+@example(["1e330", "2"])
+@example(["1e200", "2e200", "3e200"])
+@example(["0", "1e-330", "2e-330", "1e100"])
+@example(["3/0", "1.5"])
+def test_float_det_and_gen_end_in_an_answer_or_one_error_line(texts):
+    mu = "--mu=" + ",".join(texts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs = [run(["det", mu, "--oracle", "lu"]),
+                run(["gen", mu, "--kind", "float64", "--out", "json"])]
+    assert caught == []
+    for code, _, err in runs:
+        if code == 0:
+            assert err == ""
+        else:
+            assert code in (2, 3) and err.endswith("\n") and err.count("\n") == 1

@@ -184,17 +184,20 @@ def test_float_closed_form_is_the_exact_product_rounded_once(nodes):
         assert det_closed_form(nodes) == expected
 
 
-def test_float_closed_form_refuses_a_sure_overflow_before_the_product_tree(monkeypatch):
-    # On n=256 bench nodes the gap bit lengths alone put |det| past 2^1024,
-    # so the n(n-1)/2 gaps never reach the product tree.
-    nodes = draw_bench_nodes(256, 1)
+@pytest.mark.parametrize("n", [64, 256])
+def test_float_closed_form_refuses_a_sure_overflow_before_the_product_tree(n, monkeypatch):
+    # On these bench nodes the log2 sum of the gaps alone puts |det| past
+    # 2^1024, so the n(n-1)/2 gaps never reach the product tree.  At n=64,
+    # where log2 |det| is 1960.7, a bound from the gaps' bit lengths reads
+    # below 1024.
+    nodes = draw_bench_nodes(n, 1)
     sizes = []
     product = cimatrix.matrix._product
     monkeypatch.setattr(cimatrix.matrix, "_product",
                         lambda factors: sizes.append(len(factors)) or product(factors))
     with pytest.raises(NumericalError, match="closed form"):
         det_closed_form(nodes)
-    assert 256 * 255 // 2 not in sizes
+    assert n * (n - 1) // 2 not in sizes
 
 
 DECIMALS = [Decimal(1), Decimal(2)]

@@ -183,6 +183,14 @@ def test_vandermonde_antisymmetry(n):
             assert swap_variables(product, i, j) == -product
 
 
+def test_swap_variables_validates_indices_and_keeps_a_self_swap():
+    p = U1 * U2 * U2 + 3 * U3
+    assert p.swap_variables(2, 2) is p
+    for a, b in [(0, 1), (1, 4), (4, 4)]:
+        with pytest.raises(ValueError, match="out of range"):
+            p.swap_variables(a, b)
+
+
 def test_identify_variables():
     assert (U2 - U1).identify_variables(1, 2).is_zero
     p = U1 * U1 * U2
@@ -235,7 +243,8 @@ def test_substitution_commutes_with_evaluation(p, index, value):
 def test_arithmetic_results_are_canonical(p, q, i, j, value):
     # Results are wrapped without the validating constructor, so check that
     # they are in the form it would produce.
-    for r in (p + q, p - q, p * q, -p, p.substitute(i, value), p.identify_variables(i, j)):
+    for r in (p + q, p - q, p * q, -p, p.substitute(i, value), p.identify_variables(i, j),
+              p.swap_variables(i, j)):
         for monomial, coeff in r.terms.items():
             assert type(coeff) is Fraction and coeff != 0
             assert type(monomial) is tuple and len(monomial) == 3
@@ -351,6 +360,27 @@ def test_wide_identify_variables_matches_naive_fold(case, data):
         assert p.identify_variables(keep, replace).terms == expected
 
 
+swap_cases = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    wide_terms(n),
+    st.integers(1, n),
+    st.integers(1, n),
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+))
+
+
+@given(swap_cases)
+def test_swap_variables_matches_the_decoded_swap(case):
+    n, terms, a, b, point = case
+    p = MultiPoly(n, terms)
+    swapped = p.swap_variables(a, b)
+    assert swapped.terms == swap_variables(p, a, b).terms == reference_decode(swapped)
+    assert swapped.swap_variables(a, b) == p
+    exchanged = list(point)
+    exchanged[a - 1], exchanged[b - 1] = point[b - 1], point[a - 1]
+    assert swapped.evaluate(point) == p.evaluate(exchanged)
+
+
 def reference_decode(p: MultiPoly) -> dict:
     """The term map decoded key by key with shifts and masks, u1 in the most
     significant field: the reference for ``terms``."""
@@ -388,6 +418,7 @@ def table_queries(nvars: int) -> list:
             lambda p, i=index: p.substitute(i, Fraction(3, 2)),
             lambda p, i=index: p.identify_variables(1, i),
             lambda p, i=index: p.identify_variables(i, 1),
+            lambda p, i=index: p.swap_variables(1, i),
         ]
     return queries
 

@@ -107,6 +107,22 @@ def test_suite_expands_each_size_once(n, monkeypatch):
     assert expansions == [n]
 
 
+def test_a_cold_suite_identifies_only_columns(monkeypatch):
+    # The alternation certificate settles every determinant half at n=7, so
+    # the 5040-term expansion is never identified; each pair still
+    # identifies both of its 7-entry columns.
+    cimatrix.verifier._symbolic_matrix.cache_clear()
+    cimatrix.verifier._symbolic_det.cache_clear()
+    sizes = []
+    identify = MultiPoly.identify_variables
+    monkeypatch.setattr(MultiPoly, "identify_variables",
+                        lambda p, keep, replace: sizes.append(len(p._terms))
+                        or identify(p, keep, replace))
+    assert verify_suite(7, cap=7).passed
+    assert factorial(7) not in sizes
+    assert len(sizes) == 21 * 2 * 7
+
+
 def symbolic_inputs(monkeypatch, matrix, det):
     # Both cached inputs are replaced, so each test fixes what every check reads.
     monkeypatch.setattr(cimatrix.verifier, "_symbolic_matrix", lambda size: matrix)
@@ -175,6 +191,18 @@ def test_equal_columns_fails_on_a_determinant_that_survives(monkeypatch):
     result = verify_equal_column_vanish(n, 1, 2)
     assert result.passed is False
     assert result.witness == "determinant nonzero after identification"
+
+
+def test_equal_columns_identify_a_determinant_that_does_not_alternate(monkeypatch):
+    n = 3
+    assert verify_equal_column_vanish(n, 1, 3).passed  # certifies the real expansion
+    u1, u2, u3 = variables(n)
+    symbolic_inputs(monkeypatch, symbolic_ci_matrix(n), (u2 - u1) * u3)
+    results = [verify_equal_column_vanish(n, i, j) for i, j in [(1, 2), (1, 3), (2, 3)]]
+    assert [result.passed for result in results] == [True, False, False]
+    assert results[0].witness == "u2:=u1 kills det, columns merge"
+    assert {result.witness for result in results[1:]} == {
+        "determinant nonzero after identification"}
 
 
 def test_equal_columns_fails_on_columns_that_differ(monkeypatch):
