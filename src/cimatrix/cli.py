@@ -43,7 +43,7 @@ SCHEMA = "ci-matrix/1"
 # the work grows about 5x per two added nodes; n=12 takes about 0.3 s.
 SYMBOLIC_GEN_CAP = 12
 # Largest `verify --max-n`, whatever --cap says: the size-n determinant has
-# n! terms, and n=9 takes about 15 s and 0.5 GB; n=10 would hold 10x the terms.
+# n! terms, and n=9 takes about 5 s and 0.2 GB; n=10 would hold 10x the terms.
 VERIFY_N_CAP = 9
 # Largest `bench` size: the float build holds n x n doubles and takes O(n^3)
 # work, and bench nodes overflow it from n=320 on, so no larger size succeeds.

@@ -17,7 +17,8 @@ the int gaps of every number node list, and rounds once on float nodes;
 polynomial nodes take ``scalars.difference_product``.  Float results
 that overflow on finite nodes raise ``NumericalError`` where they happen
 (the float build, the float ``det_closed_form``, ``lu_logdet`` and
-``det_lu``), never return inf/nan.
+``det_lu``), never return inf/nan; so does a float build in which a
+product underflows, instead of returning a flushed entry.
 
 Three independent determinant oracles witness that identity:
 
@@ -124,7 +125,10 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
         raise ValueError("node list must not be empty")
     parts = _rational_parts(nodes)
     if parts is not None and parts[2] is float:
-        table = leave_one_out_table_float(nodes)
+        try:
+            table = leave_one_out_table_float(nodes)
+        except FloatingPointError:
+            raise NumericalError("float CI-matrix build: an entry underflowed") from None
         if not np.all(np.isfinite(table)):
             raise NumericalError("float CI-matrix build: an entry is not finite")
         nodes = [float(x) for x in nodes]

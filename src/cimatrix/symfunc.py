@@ -78,7 +78,8 @@ def leave_one_out_table_float(nodes: Sequence[float]) -> np.ndarray:
     nodes: inserting node i advances all columns in one slice update, then
     column i, which must not see node i, gets its old values back.  Entries
     that overflow come back as inf or nan, without a numpy warning; the
-    caller decides what a non-finite entry means.
+    caller decides what a non-finite entry means.  A product that underflows
+    (rounds to a subnormal or to 0) raises ``FloatingPointError``.
     """
     x = np.asarray(nodes, dtype=float)
     n = x.shape[0]
@@ -88,7 +89,7 @@ def leave_one_out_table_float(nodes: Sequence[float]) -> np.ndarray:
         raise ValueError("non-finite float node")
     table = np.zeros((n, n))
     table[0, :] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", under="raise"):
         for i in range(n):
             top = min(i + 1, n - 1)
             skipped = table[: top + 1, i].copy()

@@ -101,7 +101,6 @@ SYMBOLIC_LAYERS = (
     "matrix.det_cofactor",
     "matrix.build_ci_matrix",
     "matrix.det_closed_form",
-    "multipoly.vandermonde_product",
     "multipoly.MultiPoly.mul",
     "multipoly.MultiPoly.identify_variables",
     "multipoly.MultiPoly.substitute",

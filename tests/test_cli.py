@@ -278,6 +278,15 @@ def test_nonzero_float_node_that_rounds_to_zero_is_refused(capsys):
     assert code == 0 and err == "" and out.startswith("closed_form=-1e-320\n")
 
 
+def test_float_build_underflow_exits_3(capsys):
+    # Entry (1,1) is 2e-300; the build used to print it as 0 and exit 0.
+    mu = "--mu=0,1e-200,2e-200,1e100"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_numerical_failure(run_cli(capsys, "gen", mu, "--kind", "float64"), "an entry underflowed")
+        assert_numerical_failure(run_cli(capsys, "det", mu, "--oracle", "lu"), "an entry underflowed")
+
+
 def test_det_lu_product_overflow_exits_3_without_warning(capsys):
     # At n=27 the LAPACK value is finite (about -3.19e300) but has lost every
     # digit, so the oracle disagrees: exit 3, no numerical failure.

@@ -127,6 +127,20 @@ def test_float_build_overflow_is_a_numerical_error():
         det_closed_form(nodes)
 
 
+def test_float_build_refuses_an_entry_that_underflows():
+    # Entry (1,1) is e_3(1e-200, 2e-200, 1e100) = 2e-300, representable, but
+    # its partial product 1e-200 * 2e-200 flushes to 0.  On the second list
+    # every entry is a normal float, yet (1,3) went through the subnormal
+    # 2e-320 and kept about 5 digits.
+    for nodes in ([0.0, 1e-200, 2e-200, 1e100], [1e-160, 2e-160, 1e150, 2e150]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="float CI-matrix build: an entry underflowed"):
+                build_ci_matrix(nodes)
+    # A product that is an exact subnormal loses nothing and is kept.
+    assert build_ci_matrix([2.0 ** -537, 2.0 ** -537 * 3]).entries[0, 0] == 2.0 ** -537 * 3
+
+
 def test_float_determinants_refuse_non_finite_nodes_and_values():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,14 +1,18 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import cimatrix.cli
 import cimatrix.matrix
 import cimatrix.verifier
 from cimatrix.matrix import SizeCapError, det_cofactor, symbolic_ci_matrix
 from cimatrix.multipoly import MultiPoly, vandermonde_product, variables
+from cimatrix.scalars import rational_to_string
 from cimatrix.verifier import (
     verify_determinant_identity,
     verify_duality_probe,
@@ -223,6 +227,105 @@ def test_determinant_identity_fails_on_a_zero_expansion(monkeypatch):
     assert result.passed is False
     assert result.witness == "determinant expanded to 0"
     assert constant is None
+
+
+def expand_and_compare(n, det):
+    """Reference verdict: expand V, compare the term maps, and take the
+    ratio of leading coefficients as the constant."""
+    product = vandermonde_product(n)
+    constant = det.leading_term()[1] / product.leading_term()[1]
+    return det == product and constant == 1, constant
+
+
+def assert_identity_matches_the_expansion(n, det):
+    with pytest.MonkeyPatch.context() as patch:
+        symbolic_inputs(patch, symbolic_ci_matrix(n), det)
+        result, constant = verify_determinant_identity(n)
+    passed, expected = expand_and_compare(n, det)
+    assert (result.passed, constant) == (passed, expected)
+    assert result.witness == (f"constant={rational_to_string(expected)} "
+                              f"difference={'0' if passed else 'nonzero'}")
+    return passed
+
+
+def monomial(n, exponents, coefficient=1):
+    return MultiPoly(n, {tuple(exponents): coefficient})
+
+
+def fed_determinants(n):
+    """V, its multiples and sign changes, V off by a monomial or a factor,
+    V with one term's sign flipped, and determinants of another arity."""
+    v = vandermonde_product(n)
+    degree = n * (n - 1) // 2
+    yield v
+    for c in (2, -1, Fraction(-1, 3)):
+        yield v * c
+    if n >= 2:
+        yield v.swap_variables(1, 2)  # -V
+    for exponents in ([degree] + [0] * (n - 1), list(range(n)), list(range(n))[::-1], [0] * n):
+        for sign in (1, -1):
+            yield v + monomial(n, exponents, sign)
+    yield v * sum(variables(n), MultiPoly.zero(n))  # V * e1
+    for key, coefficient in v.terms.items():
+        yield v - monomial(n, key, 2 * coefficient)
+    yield vandermonde_product(n + 1)
+    yield MultiPoly(n + 1, {key + (0,): c for key, c in v.terms.items()})
+    if n >= 2:
+        yield vandermonde_product(n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_determinant_identity_matches_the_expansion_on_fed_determinants(n):
+    # A zero expansion (V - 1 at n=1) returns early, before any comparison.
+    verdicts = [assert_identity_matches_the_expansion(n, det)
+                for det in fed_determinants(n) if not det.is_zero]
+    assert verdicts.count(True) == 1  # V itself
+
+
+def antisymmetrized(det):
+    """The sum over S_n of sign(sigma) * det with its variables permuted."""
+    n = det.nvars
+    total = MultiPoly.zero(n)
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total + MultiPoly(n, {tuple(key[i] for i in perm): sign * c
+                                      for key, c in det.terms.items()})
+    return total
+
+
+@st.composite
+def fed_term_maps(draw):
+    """Random term maps in 1..5 variables with exponents below n, some made
+    alternating, some shifted by a multiple of V."""
+    n = draw(st.integers(1, 5))
+    det = MultiPoly(n, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, n - 1)] * n),
+        st.fractions(-3, 3, max_denominator=3),
+        max_size=6,
+    )))
+    if draw(st.booleans()):
+        det = antisymmetrized(det)
+    det = det + vandermonde_product(n) * draw(st.sampled_from([0, 1, -1, 2]))
+    assume(not det.is_zero)
+    return n, det
+
+
+@given(fed_term_maps())
+@example((3, vandermonde_product(3)))
+@example((4, MultiPoly(4, {(0, 1, 2, 3): 1})))  # V's leading term alone
+def test_determinant_identity_matches_the_expansion_on_random_term_maps(case):
+    assert_identity_matches_the_expansion(*case)
+
+
+def test_a_cold_suite_never_expands_the_vandermonde_product(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cimatrix.verifier, "vandermonde_product",
+                        lambda n: calls.append(n) or vandermonde_product(n))
+    for n in range(1, 9):
+        cimatrix.verifier._symbolic_matrix.cache_clear()
+        cimatrix.verifier._symbolic_det.cache_clear()
+        assert verify_suite(n, cap=n).passed
+    assert calls == []
 
 
 def test_first_node_zero_block_needs_size_two():
