@@ -25,13 +25,12 @@ from .matrix import (
 )
 from .multipoly import MultiPoly, vandermonde_product, variables
 from .scalars import float_to_string, rational_from_string, rational_to_string
-from .verifier import DEFAULT_CAP, verify_suite
+from .verifier import verify_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CIMatrix",
-    "DEFAULT_CAP",
     "MultiPoly",
     "NumericalError",
     "SizeCapError",

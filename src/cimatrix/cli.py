@@ -254,26 +254,30 @@ def cmd_det(args) -> int:
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     pieces = _node_texts(args.mu)
     nodes = [rational_from_string(piece) for piece in pieces]
+    render = rational_to_string
+    if args.oracle == "lu":
+        try:
+            nodes = [_float64_from_string(piece) for piece in pieces]
+        except ValueError:
+            raise NumericalError("float nodes: a node does not fit in a float") from None
+        render = float_to_string
+    closed = det_closed_form(nodes)
+    # Written before the oracle's matrix is built: a refused build keeps
+    # the closed form's answer.
+    sys.stdout.write(f"closed_form={render(closed)}\n")
     if args.oracle == "none":
-        sys.stdout.write(f"closed_form={rational_to_string(det_closed_form(nodes))}\n")
         return 0
+    matrix = build_ci_matrix(nodes)
     # The oracles are looked up in their module at each call, where a
     # tracer or a test may have rebound them.
     if args.oracle == "bareiss":
-        closed = det_closed_form(nodes)
-        oracle = matrix_module.det_bareiss(build_ci_matrix(nodes))
+        oracle = matrix_module.det_bareiss(matrix)
         agree = closed == oracle
-        render, discrepancy = rational_to_string, rational_to_string(closed - oracle)
+        discrepancy = rational_to_string(closed - oracle)
     else:
-        try:
-            floats = [_float64_from_string(piece) for piece in pieces]
-        except ValueError:
-            raise NumericalError("float nodes: a node does not fit in a float") from None
-        closed = det_closed_form(floats)
-        oracle = matrix_module.det_lu(build_ci_matrix(floats))
+        oracle = matrix_module.det_lu(matrix)
         agree = abs(closed - oracle) <= args.tol * max(abs(closed), abs(oracle))
-        render, discrepancy = float_to_string, repr(closed - oracle)
-    sys.stdout.write(f"closed_form={render(closed)}\n")
+        discrepancy = repr(closed - oracle)
     sys.stdout.write(f"oracle={render(oracle)} kind={args.oracle}\n")
     sys.stdout.write(f"discrepancy={discrepancy} agree={'yes' if agree else 'no'}\n")
     if not agree:

@@ -1,16 +1,18 @@
 """Mechanical verification of the CI-determinant identity.
 
 Every check here is an exact polynomial computation over the symbolic
-nodes u1..un: the determinant D is expanded once by the cofactor oracle
-and checked for the structural facts that force D to equal the
-pairwise-difference product V (homogeneity, per-row degrees, vanishing
-under equal nodes, the block factorization after setting u1 := 0).
-Sizes are capped because the expansion has n! terms.
+nodes u1..un: the determinant D is checked for the structural facts that
+force D to equal the pairwise-difference product V (homogeneity, per-row
+degrees, vanishing under equal nodes, the block factorization after
+setting u1 := 0).  Only ``verify_suite`` builds, expands and caps: per size
+it builds the symbolic matrix once, expands D once by the cofactor oracle
+(capped, because the expansion has n! terms) and computes one alternation
+certificate, and each check reads the values it is given.
 
-One certificate per expansion reads whether swapping u_k and u_(k+1)
-negates D for every k < n.  Adjacent swaps generate S_n, so D alternates,
-and u_j := u_i gives D = -D, which is 0 over Q.  Over Q an alternating D
-of degree n(n-1)/2 is also c*V for a constant c, and V leads with
+The certificate reads whether swapping u_k and u_(k+1) negates D for
+every k < n.  Adjacent swaps generate S_n, so D alternates, and
+u_j := u_i gives D = -D, which is 0 over Q.  Over Q an alternating D of
+degree n(n-1)/2 is also c*V for a constant c, and V leads with
 u2*u3^2*...*un^(n-1) and coefficient 1, so D = V exactly when D does too.
 """
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .matrix import (
     CIMatrix,
@@ -78,43 +79,15 @@ class VerificationReport:
         }
 
 
-def _check_cap(n: int, cap: int, minimum: int = 1) -> None:
-    if n < minimum:
-        raise ValueError(f"size must be at least {minimum}, got {n}")
-    if n > cap:
-        raise SizeCapError(f"size {n} exceeds verification cap {cap}")
-
-
-@lru_cache(maxsize=32)
-def _symbolic_matrix(n: int) -> CIMatrix:
-    # Built once per size and shared by every check: the equal-column
-    # checks alone would otherwise rebuild it n(n-1)/2 times.
-    return symbolic_ci_matrix(n)
-
-
-@lru_cache(maxsize=32)
-def _symbolic_det(n: int) -> MultiPoly:
-    # Shared across all checks at one size; the expansion is the expensive
-    # part (n! terms), every check after it is linear in the term count.
-    return det_cofactor(_symbolic_matrix(n), size_cap=n)
-
-
-# Size -> (expansion, verdict); another expansion object is certified anew.
-_alternation: dict[int, tuple[MultiPoly, bool]] = {}
-
-
 def _alternates(n: int, det: MultiPoly) -> bool:
     """Whether every adjacent swap u_k <-> u_(k+1), k < n, negates ``det``."""
-    if _alternation.get(n, (None,))[0] is not det:
-        negated = -det
-        _alternation[n] = det, all(det.swap_variables(k, k + 1) == negated for k in range(1, n))
-    return _alternation[n][1]
+    negated = -det
+    return all(det.swap_variables(k, k + 1) == negated for k in range(1, n))
 
 
-def verify_homogeneity(n: int, cap: int = DEFAULT_CAP) -> CheckResult:
-    """The symbolic determinant is homogeneous of total degree n(n-1)/2."""
-    _check_cap(n, cap)
-    degrees = _symbolic_det(n).total_degrees()
+def verify_homogeneity(n: int, det: MultiPoly) -> CheckResult:
+    """The size-n determinant ``det`` is homogeneous of total degree n(n-1)/2."""
+    degrees = det.total_degrees()
     expected = {n * (n - 1) // 2}
     return CheckResult(
         "homogeneity",
@@ -123,10 +96,10 @@ def verify_homogeneity(n: int, cap: int = DEFAULT_CAP) -> CheckResult:
     )
 
 
-def verify_row_degrees(n: int, cap: int = DEFAULT_CAP) -> CheckResult:
-    """Every entry of row h is homogeneous of total degree n-h."""
-    _check_cap(n, cap)
-    matrix = _symbolic_matrix(n)
+def verify_row_degrees(matrix: CIMatrix) -> CheckResult:
+    """Every entry of row h of the size-n ``matrix`` is homogeneous of total
+    degree n-h."""
+    n = matrix.n
     bad: list[str] = []
     for h in range(1, n + 1):
         expected = {n - h}
@@ -139,16 +112,15 @@ def verify_row_degrees(n: int, cap: int = DEFAULT_CAP) -> CheckResult:
 
 
 def verify_equal_column_vanish(
-    n: int, i: int, j: int, cap: int = DEFAULT_CAP
+    matrix: CIMatrix, det: MultiPoly, alternates: bool, i: int, j: int
 ) -> CheckResult:
-    """Identifying nodes i and j kills the determinant and merges the columns;
-    the determinant half identifies only where ``_alternates`` fails."""
-    _check_cap(n, cap)
+    """Identifying nodes i and j kills ``det`` and merges columns i and j of
+    ``matrix``; ``det`` is identified only where ``alternates``, its
+    certificate, is false."""
+    n = matrix.n
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i} j={j} n={n}")
-    det = _symbolic_det(n)
-    det_ok = _alternates(n, det) or det.identify_variables(i, j).is_zero
-    matrix = _symbolic_matrix(n)
+    det_ok = alternates or det.identify_variables(i, j).is_zero
     column_i = [entry.identify_variables(i, j) for entry in matrix.column(i)]
     column_j = [entry.identify_variables(i, j) for entry in matrix.column(j)]
     columns_ok = column_i == column_j
@@ -162,28 +134,28 @@ def verify_equal_column_vanish(
 
 
 def verify_determinant_identity(
-    n: int, cap: int = DEFAULT_CAP
+    n: int, det: MultiPoly, alternates: bool
 ) -> tuple[CheckResult, Fraction | None]:
-    """The expanded determinant D equals the pairwise-difference product V.
+    """The size-n determinant ``det`` equals the pairwise-difference product V;
+    ``alternates`` is its alternation certificate.
 
     An alternating D of degree n(n-1)/2 is c*V, and c is D's leading
     coefficient because V's is 1.  So D = V exactly when D also leads with
     V's term u2*u3^2*...*un^(n-1), and V itself is never expanded.
     """
-    _check_cap(n, cap)
-    det = _symbolic_det(n)
     if det.is_zero:
         return CheckResult("determinant-identity", False, "determinant expanded to 0"), None
     monomial, constant = det.leading_term()
     # Comparing the monomial first also turns away another arity.
     difference_zero = (monomial, constant) == (tuple(range(n)), 1) and (
-        det.total_degrees() == {n * (n - 1) // 2} and _alternates(n, det))
+        det.total_degrees() == {n * (n - 1) // 2} and alternates)
     witness = f"constant={rational_to_string(constant)} difference={'0' if difference_zero else 'nonzero'}"
     return CheckResult("determinant-identity", difference_zero, witness), constant
 
 
-def verify_first_node_zero_block(size: int, cap: int = DEFAULT_CAP) -> CheckResult:
-    """Structure of the size-n CI-matrix after substituting u1 := 0.
+def verify_first_node_zero_block(matrix: CIMatrix, det: MultiPoly) -> CheckResult:
+    """Structure of the size-n CI-matrix ``matrix``, n >= 2, with expansion
+    ``det``, after substituting u1 := 0.
 
     Checks (a) the (1,1) entry is the product of the remaining nodes,
     (b) the rest of the first row vanishes, (c) the trailing block is the
@@ -191,8 +163,9 @@ def verify_first_node_zero_block(size: int, cap: int = DEFAULT_CAP) -> CheckResu
     that product times the pairwise-difference product of the remaining
     nodes.
     """
-    _check_cap(size, cap, minimum=2)
-    matrix = _symbolic_matrix(size)
+    size = matrix.n
+    if size < 2:
+        raise ValueError(f"size must be at least 2, got {size}")
     substituted = [
         [entry.substitute(1, 0) for entry in row] for row in matrix.entries
     ]
@@ -211,10 +184,8 @@ def verify_first_node_zero_block(size: int, cap: int = DEFAULT_CAP) -> CheckResu
     if [list(row) for row in expected_block.entries] != block:
         failures.append("trailing block is not the CI-matrix of the remaining nodes")
     # u1 := 0 is a ring homomorphism, so it commutes with the determinant:
-    # substituting into the shared expansion is det of ``substituted``.
-    det = _symbolic_det(size).substitute(1, 0)
-    expected_det = prefactor * det_closed_form(tail)
-    if det != expected_det:
+    # substituting into the expansion is det of ``substituted``.
+    if det.substitute(1, 0) != prefactor * det_closed_form(tail):
         failures.append("determinant does not factor through the trailing block")
     witness = (
         "u1:=0 gives (product, 0...) first row, CI block, factored determinant"
@@ -239,18 +210,24 @@ def verify_suite(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Everything checkable at one size: the determinant identity and the
     first-node block factorization that reduces it to the previous size,
     plus homogeneity, row degrees, all equal-node identifications, and the
-    duality probe."""
-    _check_cap(n, cap)
+    duality probe.  A size outside 1..cap is refused before anything is
+    built."""
+    if n < 1:
+        raise ValueError(f"size must be at least 1, got {n}")
+    if n > cap:
+        raise SizeCapError(f"size {n} exceeds verification cap {cap}")
+    matrix = symbolic_ci_matrix(n)
+    det = det_cofactor(matrix, size_cap=n)
+    alternates = _alternates(n, det)
     report = VerificationReport(n=n)
-    identity, constant = verify_determinant_identity(n, cap)
+    identity, report.extracted_constant = verify_determinant_identity(n, det, alternates)
     report.checks.append(identity)
-    report.extracted_constant = constant
-    report.checks.append(verify_homogeneity(n, cap))
-    report.checks.append(verify_row_degrees(n, cap))
+    report.checks.append(verify_homogeneity(n, det))
+    report.checks.append(verify_row_degrees(matrix))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            report.checks.append(verify_equal_column_vanish(n, i, j, cap))
+            report.checks.append(verify_equal_column_vanish(matrix, det, alternates, i, j))
     if n >= 2:
-        report.checks.append(verify_first_node_zero_block(n, cap))
+        report.checks.append(verify_first_node_zero_block(matrix, det))
     report.checks.append(verify_duality_probe(n))
     return report

@@ -23,6 +23,7 @@ from cimatrix.matrix import (
 )
 from cimatrix.multipoly import vandermonde_product
 from cimatrix.verifier import (
+    _alternates,
     verify_determinant_identity,
     verify_equal_column_vanish,
     verify_first_node_zero_block,
@@ -44,7 +45,7 @@ def test_criterion_1_symbolic_determinant_identity():
         assert det.terms == product.terms
         assert len(det.terms) == factorial(n)
         assert all(abs(c) == 1 for c in det.terms.values())
-        check, constant = verify_determinant_identity(n)
+        check, constant = verify_determinant_identity(n, det, _alternates(n, det))
         assert check.passed and constant == Fraction(1)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"symbolic identity check took {elapsed:.1f}s"
@@ -68,13 +69,16 @@ def test_criterion_2_exact_oracle_equivalence():
 
 def test_criterion_3_proof_step_suite():
     for n in range(1, 7):
-        assert verify_homogeneity(n).passed
-        assert verify_row_degrees(n).passed
+        matrix = symbolic_ci_matrix(n)
+        det = det_cofactor(matrix, size_cap=n)
+        alternates = _alternates(n, det)
+        assert verify_homogeneity(n, det).passed
+        assert verify_row_degrees(matrix).passed
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                assert verify_equal_column_vanish(n, i, j).passed
+                assert verify_equal_column_vanish(matrix, det, alternates, i, j).passed
         if n >= 2:
-            assert verify_first_node_zero_block(n).passed
+            assert verify_first_node_zero_block(matrix, det).passed
     _report(3, "homogeneity, row degrees, equal-node vanishing, first-node block for n=1..6")
 
 

@@ -114,9 +114,6 @@ SYMBOLIC_LAYERS = (
 
 
 def test_a_traced_verify_request_reaches_every_layer(capsys):
-    # A served request runs in a cold process: nothing is cached yet.
-    cimatrix.verifier._symbolic_matrix.cache_clear()
-    cimatrix.verifier._symbolic_det.cache_clear()
     tracer = _spans.Tracer()
     tracer.request = 0
     saved = _spans.install(tracer)

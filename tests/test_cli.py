@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cimatrix.cli
 from cli_corpus import run
 from conftest import GOLDEN_N4_ENTRIES, pretty_layout, read_gen_json
 from cimatrix.cli import BENCH_CSV_HEADER, build_parser, draw_bench_nodes, main, run_bench
@@ -262,9 +263,12 @@ def test_float_overflow_on_finite_nodes_exits_3(capsys, monkeypatch):
                                          "--kind", "float64"), "CI-matrix build")
         assert_numerical_failure(run_cli(capsys, "det", "--mu", "1" + "0" * 400 + ".0,1",
                                          "--oracle", "lu"), "float nodes")
-    # log|det| = 1000 is finite, its value is not.
+    # log|det| = 1000 is finite, its value is not.  The closed form's line
+    # is written before the LU runs, and stays.
     monkeypatch.setattr("cimatrix.matrix.lu_logdet", lambda m: (1, 1000.0))
-    assert_numerical_failure(run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu"), "LU")
+    code, out, err = run_cli(capsys, "det", "--mu", "1,2,3", "--oracle", "lu")
+    assert (code, out) == (3, "closed_form=2\n")
+    assert len(err.splitlines()) == 1 and err.startswith("error: numerical failure in LU")
 
 
 def test_nonzero_float_node_that_rounds_to_zero_is_refused(capsys):
@@ -280,11 +284,15 @@ def test_nonzero_float_node_that_rounds_to_zero_is_refused(capsys):
 
 def test_float_build_underflow_exits_3(capsys):
     # Entry (1,1) is 2e-300; the build used to print it as 0 and exit 0.
+    # The closed form, 2e-300 exactly, is printed before the LU's build is
+    # refused.
     mu = "--mu=0,1e-200,2e-200,1e100"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_numerical_failure(run_cli(capsys, "gen", mu, "--kind", "float64"), "an entry underflowed")
-        assert_numerical_failure(run_cli(capsys, "det", mu, "--oracle", "lu"), "an entry underflowed")
+        code, out, err = run_cli(capsys, "det", mu, "--oracle", "lu")
+    assert (code, out) == (3, "closed_form=2e-300\n")
+    assert err == "error: numerical failure in float CI-matrix build: an entry underflowed\n"
 
 
 def test_det_lu_product_overflow_exits_3_without_warning(capsys):
@@ -488,12 +496,14 @@ INTERLEAVED_CALLS = (
 )
 
 
-def test_repeated_calls_carry_no_state_through_the_shared_parser():
+def test_repeated_calls_carry_no_state_through_the_shared_parser(monkeypatch):
     first = {}
-    for argv, code in INTERLEAVED_CALLS:
-        build_parser.cache_clear()  # as the first call of a process
-        first[argv] = _without_wall_times(run(argv))
-        assert first[argv][0] == code
+    with monkeypatch.context() as fresh:
+        # Each call builds its own parser, as the first call of a process does.
+        fresh.setattr(cimatrix.cli, "build_parser", build_parser.__wrapped__)
+        for argv, code in INTERLEAVED_CALLS:
+            first[argv] = _without_wall_times(run(argv))
+            assert first[argv][0] == code
     calls = [argv for argv, _ in INTERLEAVED_CALLS]
     for argv in calls + calls[::-1] + calls[1::2] + calls[::2]:
         assert _without_wall_times(run(argv)) == first[argv], argv

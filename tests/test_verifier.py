@@ -14,6 +14,7 @@ from cimatrix.matrix import SizeCapError, det_cofactor, symbolic_ci_matrix
 from cimatrix.multipoly import MultiPoly, vandermonde_product, variables
 from cimatrix.scalars import rational_to_string
 from cimatrix.verifier import (
+    _alternates,
     verify_determinant_identity,
     verify_duality_probe,
     verify_equal_column_vanish,
@@ -24,40 +25,54 @@ from cimatrix.verifier import (
 )
 
 
+def symbolic(n):
+    """The size-n symbolic matrix, its expansion and that expansion's
+    alternation certificate, as ``verify_suite`` forms them."""
+    matrix = symbolic_ci_matrix(n)
+    det = det_cofactor(matrix, size_cap=n)
+    return matrix, det, _alternates(n, det)
+
+
 @pytest.mark.parametrize("n,degree", [(2, 1), (3, 3), (4, 6)])
 def test_homogeneity(n, degree):
-    result = verify_homogeneity(n)
+    _, det, _ = symbolic(n)
+    result = verify_homogeneity(n, det)
     assert result.passed
     assert str(degree) in result.witness
 
 
-def test_homogeneity_cap():
+def test_suite_cap(monkeypatch):
+    builds = []
+    monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix", builds.append)
     with pytest.raises(SizeCapError):
-        verify_homogeneity(7)
+        verify_suite(7)
     with pytest.raises(ValueError):
-        verify_homogeneity(0)
+        verify_suite(0)
+    assert builds == []  # refused before anything is built
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_row_degrees(n):
-    assert verify_row_degrees(n).passed
+    assert verify_row_degrees(symbolic_ci_matrix(n)).passed
 
 
 @pytest.mark.parametrize("n,i,j", [(2, 1, 2), (3, 1, 3), (4, 2, 3)])
 def test_equal_column_vanish(n, i, j):
-    assert verify_equal_column_vanish(n, i, j).passed
+    assert verify_equal_column_vanish(*symbolic(n), i, j).passed
 
 
 def test_equal_column_vanish_validates_indices():
+    inputs = symbolic(3)
     with pytest.raises(ValueError):
-        verify_equal_column_vanish(3, 2, 2)
+        verify_equal_column_vanish(*inputs, 2, 2)
     with pytest.raises(ValueError):
-        verify_equal_column_vanish(3, 0, 2)
+        verify_equal_column_vanish(*inputs, 0, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_determinant_identity(n):
-    result, constant = verify_determinant_identity(n)
+    _, det, alternates = symbolic(n)
+    result, constant = verify_determinant_identity(n, det, alternates)
     assert result.passed
     assert constant == Fraction(1)
 
@@ -75,7 +90,7 @@ def test_first_node_zero_block_size2():
     assert substituted[0] == [u2, MultiPoly.zero(2)]
     assert substituted[1] == [MultiPoly.one(2), MultiPoly.one(2)]
     assert det_cofactor(substituted) == u2
-    assert verify_first_node_zero_block(2).passed
+    assert verify_first_node_zero_block(*symbolic(2)[:2]).passed
 
 
 def test_first_node_zero_block_size3():
@@ -85,11 +100,11 @@ def test_first_node_zero_block_size3():
     assert substituted[0][0] == u2 * u3
     assert substituted[0][1].is_zero and substituted[0][2].is_zero
     assert det_cofactor(substituted) == u2 * u3 * (u3 - u2)
-    assert verify_first_node_zero_block(3).passed
+    assert verify_first_node_zero_block(*symbolic(3)[:2]).passed
 
 
 def test_first_node_zero_block_size4():
-    assert verify_first_node_zero_block(4).passed
+    assert verify_first_node_zero_block(*symbolic(4)[:2]).passed
 
 
 def with_entry(matrix, h, k, value):
@@ -100,23 +115,27 @@ def with_entry(matrix, h, k, value):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_suite_expands_each_size_once(n, monkeypatch):
-    # Empty caches: the suite forms each matrix and expansion itself.
-    cimatrix.verifier._symbolic_matrix.cache_clear()
-    cimatrix.verifier._symbolic_det.cache_clear()
-    expansions = []
-    expand = cimatrix.verifier.det_cofactor
+    # One build, one expansion and one certificate (n-1 adjacent swaps):
+    # nothing a check reads is formed twice.
+    builds, expansions, swaps = [], [], []
+    build, expand = cimatrix.verifier.symbolic_ci_matrix, cimatrix.verifier.det_cofactor
+    swap = MultiPoly.swap_variables
+    monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix",
+                        lambda size: builds.append(size) or build(size))
     monkeypatch.setattr(cimatrix.verifier, "det_cofactor",
                         lambda matrix, size_cap: expansions.append(size_cap) or expand(matrix, size_cap))
+    monkeypatch.setattr(MultiPoly, "swap_variables",
+                        lambda p, a, b: swaps.append((a, b)) or swap(p, a, b))
     assert verify_suite(n, cap=7).passed
+    assert builds == [n]
     assert expansions == [n]
+    assert swaps == [(k, k + 1) for k in range(1, n)]
 
 
 def test_a_cold_suite_identifies_only_columns(monkeypatch):
     # The alternation certificate settles every determinant half at n=7, so
     # the 5040-term expansion is never identified; each pair still
     # identifies both of its 7-entry columns.
-    cimatrix.verifier._symbolic_matrix.cache_clear()
-    cimatrix.verifier._symbolic_det.cache_clear()
     sizes = []
     identify = MultiPoly.identify_variables
     monkeypatch.setattr(MultiPoly, "identify_variables",
@@ -127,103 +146,92 @@ def test_a_cold_suite_identifies_only_columns(monkeypatch):
     assert len(sizes) == 21 * 2 * 7
 
 
-def symbolic_inputs(monkeypatch, matrix, det):
-    # Both cached inputs are replaced, so each test fixes what every check reads.
-    monkeypatch.setattr(cimatrix.verifier, "_symbolic_matrix", lambda size: matrix)
-    monkeypatch.setattr(cimatrix.verifier, "_symbolic_det", lambda size: det)
-
-
-def first_node_zero_block_with(monkeypatch, n, matrix, det):
-    symbolic_inputs(monkeypatch, matrix, det)
-    return verify_first_node_zero_block(n)
-
-
-def test_first_node_zero_block_fails_on_a_wrong_trailing_block(monkeypatch):
+def test_first_node_zero_block_fails_on_a_wrong_trailing_block():
     n = 4
     matrix = symbolic_ci_matrix(n)
     u3 = variables(n)[2]
     bad = with_entry(matrix, 3, 2, matrix.entry(3, 2) + u3)
-    result = first_node_zero_block_with(monkeypatch, n, bad, vandermonde_product(n))
+    result = verify_first_node_zero_block(bad, vandermonde_product(n))
     assert not result.passed
     assert result.witness == "trailing block is not the CI-matrix of the remaining nodes"
 
 
-def test_first_node_zero_block_fails_on_a_wrong_corner(monkeypatch):
+def test_first_node_zero_block_fails_on_a_wrong_corner():
     n = 4
     matrix = symbolic_ci_matrix(n)
     u2 = variables(n)[1]
     bad = with_entry(matrix, 1, 1, matrix.entry(1, 1) + u2)
-    result = first_node_zero_block_with(monkeypatch, n, bad, vandermonde_product(n))
+    result = verify_first_node_zero_block(bad, vandermonde_product(n))
     assert not result.passed
     assert result.witness == "(1,1) entry is not the product of the remaining nodes"
 
 
-def test_first_node_zero_block_fails_on_a_wrong_determinant(monkeypatch):
+def test_first_node_zero_block_fails_on_a_wrong_determinant():
     n = 4
     _, u2, u3, _ = variables(n)
     det = vandermonde_product(n) + u2 * u3
-    result = first_node_zero_block_with(monkeypatch, n, symbolic_ci_matrix(n), det)
+    result = verify_first_node_zero_block(symbolic_ci_matrix(n), det)
     assert not result.passed
     assert result.witness == "determinant does not factor through the trailing block"
 
 
-def test_first_node_zero_block_fails_on_a_nonzero_trailing_entry(monkeypatch):
+def test_first_node_zero_block_fails_on_a_nonzero_trailing_entry():
     n = 4
     matrix = symbolic_ci_matrix(n)
     _, u2, u3, _ = variables(n)
     bad = with_entry(matrix, 1, 2, matrix.entry(1, 2) + u2 * u3)
-    result = first_node_zero_block_with(monkeypatch, n, bad, vandermonde_product(n))
+    result = verify_first_node_zero_block(bad, vandermonde_product(n))
     assert result.passed is False
     assert result.witness == "first row has a nonzero trailing entry"
 
 
-def test_row_degrees_names_an_inhomogeneous_entry(monkeypatch):
+def test_row_degrees_names_an_inhomogeneous_entry():
     n = 3
     matrix = symbolic_ci_matrix(n)
     u1, u2, _ = variables(n)
-    symbolic_inputs(monkeypatch, with_entry(matrix, 2, 1, matrix.entry(2, 1) + u1 * u2),
-                    vandermonde_product(n))
-    result = verify_row_degrees(n)
+    result = verify_row_degrees(with_entry(matrix, 2, 1, matrix.entry(2, 1) + u1 * u2))
     assert result.passed is False
     assert result.witness == "(2,1) degrees [1, 2]"
 
 
-def test_equal_columns_fails_on_a_determinant_that_survives(monkeypatch):
+def test_equal_columns_fails_on_a_determinant_that_survives():
     n = 3
     u1 = variables(n)[0]
-    symbolic_inputs(monkeypatch, symbolic_ci_matrix(n), vandermonde_product(n) + u1)
-    result = verify_equal_column_vanish(n, 1, 2)
+    det = vandermonde_product(n) + u1
+    result = verify_equal_column_vanish(symbolic_ci_matrix(n), det, _alternates(n, det), 1, 2)
     assert result.passed is False
     assert result.witness == "determinant nonzero after identification"
 
 
-def test_equal_columns_identify_a_determinant_that_does_not_alternate(monkeypatch):
+def test_equal_columns_identify_a_determinant_that_does_not_alternate():
     n = 3
-    assert verify_equal_column_vanish(n, 1, 3).passed  # certifies the real expansion
+    matrix, real, certificate = symbolic(n)
+    assert certificate and verify_equal_column_vanish(matrix, real, certificate, 1, 3).passed
     u1, u2, u3 = variables(n)
-    symbolic_inputs(monkeypatch, symbolic_ci_matrix(n), (u2 - u1) * u3)
-    results = [verify_equal_column_vanish(n, i, j) for i, j in [(1, 2), (1, 3), (2, 3)]]
+    det = (u2 - u1) * u3
+    assert _alternates(n, det) is False
+    results = [verify_equal_column_vanish(matrix, det, False, i, j) for i, j in [(1, 2), (1, 3), (2, 3)]]
     assert [result.passed for result in results] == [True, False, False]
     assert results[0].witness == "u2:=u1 kills det, columns merge"
     assert {result.witness for result in results[1:]} == {
         "determinant nonzero after identification"}
 
 
-def test_equal_columns_fails_on_columns_that_differ(monkeypatch):
+def test_equal_columns_fails_on_columns_that_differ():
     n = 3
     matrix = symbolic_ci_matrix(n)
     u3 = variables(n)[2]
-    symbolic_inputs(monkeypatch, with_entry(matrix, 2, 1, matrix.entry(2, 1) + u3),
-                    vandermonde_product(n))
-    result = verify_equal_column_vanish(n, 1, 2)
+    bad = with_entry(matrix, 2, 1, matrix.entry(2, 1) + u3)
+    det = vandermonde_product(n)
+    result = verify_equal_column_vanish(bad, det, _alternates(n, det), 1, 2)
     assert result.passed is False
     assert result.witness == "columns 1 and 2 differ after identification"
 
 
-def test_determinant_identity_fails_on_a_zero_expansion(monkeypatch):
+def test_determinant_identity_fails_on_a_zero_expansion():
     n = 3
-    symbolic_inputs(monkeypatch, symbolic_ci_matrix(n), MultiPoly.zero(n))
-    result, constant = verify_determinant_identity(n)
+    zero = MultiPoly.zero(n)
+    result, constant = verify_determinant_identity(n, zero, _alternates(n, zero))
     assert result.passed is False
     assert result.witness == "determinant expanded to 0"
     assert constant is None
@@ -238,9 +246,8 @@ def expand_and_compare(n, det):
 
 
 def assert_identity_matches_the_expansion(n, det):
-    with pytest.MonkeyPatch.context() as patch:
-        symbolic_inputs(patch, symbolic_ci_matrix(n), det)
-        result, constant = verify_determinant_identity(n)
+    # The certificate is the fed determinant's own, read in its own arity.
+    result, constant = verify_determinant_identity(n, det, _alternates(det.nvars, det))
     passed, expected = expand_and_compare(n, det)
     assert (result.passed, constant) == (passed, expected)
     assert result.witness == (f"constant={rational_to_string(expected)} "
@@ -322,15 +329,14 @@ def test_a_cold_suite_never_expands_the_vandermonde_product(monkeypatch):
     monkeypatch.setattr(cimatrix.verifier, "vandermonde_product",
                         lambda n: calls.append(n) or vandermonde_product(n))
     for n in range(1, 9):
-        cimatrix.verifier._symbolic_matrix.cache_clear()
-        cimatrix.verifier._symbolic_det.cache_clear()
         assert verify_suite(n, cap=n).passed
     assert calls == []
 
 
 def test_first_node_zero_block_needs_size_two():
+    matrix, det, _ = symbolic(1)
     with pytest.raises(ValueError):
-        verify_first_node_zero_block(1)
+        verify_first_node_zero_block(matrix, det)
 
 
 def test_duality_probe():
