@@ -26,6 +26,7 @@ import numpy as np
 
 from . import matrix as matrix_module
 from .matrix import (
+    COFACTOR_CAP,
     CIMatrix,
     NumericalError,
     SizeCapError,
@@ -33,18 +34,12 @@ from .matrix import (
     closed_form_logdet,
     det_closed_form,
     lu_logdet,
+    symbolic_ci_matrix,
 )
-from .multipoly import variables
 from .scalars import float_to_string, rational_from_string, rational_to_string
-from .verifier import DEFAULT_CAP, verify_suite
+from .verifier import verify_suite
 
 SCHEMA = "ci-matrix/1"
-# Largest `gen --symbolic` size: row h has C(n-1, n-h) terms per entry, so
-# the work grows about 5x per two added nodes; n=12 takes about 0.3 s.
-SYMBOLIC_GEN_CAP = 12
-# Largest `verify --max-n`, whatever --cap says: the size-n determinant has
-# n! terms, and n=9 takes about 5 s and 0.2 GB; n=10 would hold 10x the terms.
-VERIFY_N_CAP = 9
 # Largest `bench` size: the float build holds n x n doubles and takes O(n^3)
 # work, and bench nodes overflow it from n=320 on, so no larger size succeeds.
 BENCH_N_CAP = 1024
@@ -226,11 +221,7 @@ def cmd_gen(args) -> int:
             raise ValueError("--kind applies to --mu nodes, not to --symbolic")
         if args.n is None:
             raise ValueError("--symbolic requires --n")
-        if args.n < 1:
-            raise ValueError("n must be at least 1")
-        if args.n > SYMBOLIC_GEN_CAP:
-            raise SizeCapError(f"--n {args.n} exceeds the symbolic gen cap {SYMBOLIC_GEN_CAP}")
-        matrix = build_ci_matrix(variables(args.n))
+        matrix = symbolic_ci_matrix(args.n)
         kind = "symbolic"
     else:
         kind = args.kind or "rational"
@@ -289,21 +280,23 @@ def cmd_det(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
-    if args.max_n > args.cap:
-        raise SizeCapError(f"--max-n {args.max_n} exceeds cap {args.cap}")
-    if args.max_n > VERIFY_N_CAP:
-        raise SizeCapError(
-            f"--max-n {args.max_n} exceeds the verify cap {VERIFY_N_CAP}: "
-            f"the size-{args.max_n} determinant has {args.max_n}! terms"
-        )
-    reports = [verify_suite(n, args.cap) for n in range(1, args.max_n + 1)]
+    # Checked here as well as in det_cofactor, so a refused run expands nothing.
+    cap = min(args.cap, COFACTOR_CAP)
+    if args.max_n > cap:
+        raise SizeCapError(f"--max-n {args.max_n} exceeds cap {cap}: "
+                           f"the size-{args.max_n} determinant has {args.max_n}! terms")
+    reports = [verify_suite(n) for n in range(1, args.max_n + 1)]
     if args.json:
         sys.stdout.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     else:
         for report in reports:
             for line in report.lines():
                 sys.stdout.write(line + "\n")
-    return 0 if all(r.passed for r in reports) else 3
+    failed = [r for r in reports if not r.passed]
+    if failed:
+        names = ", ".join(c.name for c in failed[0].checks if not c.passed)
+        print(f"verification failed at n={failed[0].n}: {names}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 def cmd_bench(args) -> int:
@@ -362,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the symbolic verification suite")
     verify.add_argument("--max-n", type=int, required=True, dest="max_n")
-    verify.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="largest size the symbolic expansion may attempt")
+    verify.add_argument("--cap", type=int, default=COFACTOR_CAP,
+                        help=f"largest size the symbolic expansion may attempt (at most {COFACTOR_CAP})")
     verify.add_argument("--json", action="store_true", help="machine-readable reports")
     verify.set_defaults(handler=cmd_verify)
 

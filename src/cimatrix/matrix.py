@@ -34,7 +34,7 @@ Three independent determinant oracles witness that identity:
 * ``det_cofactor`` -- generalized Laplace expansion for polynomial
   entries: the column-subset minors of the top (n-1)//2 rows and of the
   bottom rows, memoized, joined in one sum of products; a dense
-  polynomial result has n! terms, so a size cap guards it.
+  polynomial result has n! terms, so ``COFACTOR_CAP`` guards it.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ import numpy as np
 from .multipoly import variables
 from .scalars import difference_product, exact_div, ring_identities, sum_of_products
 from .symfunc import elem_sym_leave_one_out, leave_one_out_table_float
+
+# Largest ``symbolic_ci_matrix`` size: row h has C(n-1, n-h) terms per entry,
+# so the work grows about 5x per two added nodes; n=12 takes about 0.3 s.
+SYMBOLIC_CAP = 12
+# Largest ``det_cofactor`` size: a dense polynomial determinant has n! terms,
+# and verifying n=9 takes about 5 s and 0.2 GB; n=10 would hold 10x the terms.
+COFACTOR_CAP = 9
 
 
 class SizeCapError(ValueError):
@@ -144,7 +151,12 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
 
 
 def symbolic_ci_matrix(n: int) -> CIMatrix:
-    """CI-matrix over the symbolic nodes u1..un."""
+    """CI-matrix over the symbolic nodes u1..un; a size below 1 (``ValueError``)
+    or above ``SYMBOLIC_CAP`` (``SizeCapError``) is refused before any build."""
+    if n < 1:
+        raise ValueError(f"symbolic CI-matrix size must be at least 1, got {n}")
+    if n > SYMBOLIC_CAP:
+        raise SizeCapError(f"symbolic CI-matrix capped at size {SYMBOLIC_CAP}, got {n}")
     return build_ci_matrix(variables(n))
 
 
@@ -377,7 +389,7 @@ def _subset_minors(rows: list[list], n: int, zero, one) -> dict:
     return minors
 
 
-def det_cofactor(matrix, size_cap: int = 7):
+def det_cofactor(matrix):
     """Determinant by generalized Laplace expansion along a row split.
 
     Works over any ring (no division), so this is the oracle of choice for
@@ -392,12 +404,12 @@ def det_cofactor(matrix, size_cap: int = 7):
     The join is one ``sum_of_products`` call over the subsets S in
     ``combinations`` order.  Cost is O(2^n) minors of O(n) ring multiplies
     each, C(n, t) more for the join, and n! terms in a dense polynomial
-    result, hence the cap.
+    result: ``COFACTOR_CAP`` refuses a larger size before any minor.
     """
     m = _rows(matrix)
     n = len(m)
-    if n > size_cap:
-        raise SizeCapError(f"cofactor expansion capped at size {size_cap}, got {n}")
+    if n > COFACTOR_CAP:
+        raise SizeCapError(f"cofactor expansion capped at size {COFACTOR_CAP}, got {n}")
     zero, one = ring_identities(m[0][0])
     t = (n - 1) // 2
     top, bottom = _subset_minors(m[:t], n, zero, one), _subset_minors(m[t:], n, zero, one)

@@ -4,10 +4,10 @@ Every check here is an exact polynomial computation over the symbolic
 nodes u1..un: the determinant D is checked for the structural facts that
 force D to equal the pairwise-difference product V (homogeneity, per-row
 degrees, vanishing under equal nodes, the block factorization after
-setting u1 := 0).  Only ``verify_suite`` builds, expands and caps: per size
-it builds the symbolic matrix once, expands D once by the cofactor oracle
-(capped, because the expansion has n! terms) and computes one alternation
-certificate, and each check reads the values it is given.
+setting u1 := 0).  Only ``verify_suite`` builds and expands: per size it
+builds the symbolic matrix once, expands D once by the cofactor oracle
+(whose own cap refuses large sizes: D has n! terms) and computes one
+alternation certificate, and each check reads the values it is given.
 
 The certificate reads whether swapping u_k and u_(k+1) negates D for
 every k < n.  Adjacent swaps generate S_n, so D alternates, and
@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .matrix import (
     CIMatrix,
-    SizeCapError,
     build_ci_matrix,
     det_closed_form,
     det_cofactor,
@@ -33,8 +32,6 @@ from .matrix import (
 # Unused: kept as the call site that perfbench/spans.py rebinds and traces.
 from .multipoly import MultiPoly, vandermonde_product, variables
 from .scalars import rational_to_string
-
-DEFAULT_CAP = 6
 
 
 @dataclass
@@ -206,18 +203,15 @@ def verify_duality_probe(n: int) -> CheckResult:
     return CheckResult("duality", passed, witness)
 
 
-def verify_suite(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
+def verify_suite(n: int) -> VerificationReport:
     """Everything checkable at one size: the determinant identity and the
     first-node block factorization that reduces it to the previous size,
     plus homogeneity, row degrees, all equal-node identifications, and the
-    duality probe.  A size outside 1..cap is refused before anything is
-    built."""
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
-    if n > cap:
-        raise SizeCapError(f"size {n} exceeds verification cap {cap}")
+    duality probe.  The kernels refuse a size outside their caps before
+    they work: ``symbolic_ci_matrix`` below 1 or above ``SYMBOLIC_CAP``,
+    ``det_cofactor`` above ``COFACTOR_CAP``."""
     matrix = symbolic_ci_matrix(n)
-    det = det_cofactor(matrix, size_cap=n)
+    det = det_cofactor(matrix)
     alternates = _alternates(n, det)
     report = VerificationReport(n=n)
     identity, report.extracted_constant = verify_determinant_identity(n, det, alternates)

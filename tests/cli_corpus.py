@@ -6,7 +6,9 @@ stdout, byte for byte.  Each entry holds the argv, the exit code, the
 stderr and either the stdout or, above ``INLINE_STDOUT_BYTES``, its
 sha256.  Runs whose last digits depend on the numpy build (``--kind
 float64``, ``--oracle lu``) and ``bench``, whose output holds wall
-times, are pinned by exit code and stderr only.
+times, are pinned by exit code and stderr only; an ``--oracle lu`` run
+also pins its first stdout line, the ``closed_form=`` line, which is exact
+int arithmetic rounded once and so does not depend on the numpy build.
 
 To capture the corpus from a source tree, run from the repository root:
 
@@ -75,6 +77,7 @@ ARGVS += [
     ["verify", "--max-n", "5", "--json"],
     ["verify", "--max-n", "3"],
     ["verify", "--max-n", "7", "--cap", "7", "--json"],
+    ["verify", "--max-n", "7", "--json"],  # the default --cap prints the same
     ["verify", "--max-n", "8", "--cap", "8", "--json"],
     # float runs: pinned by exit code and stderr
     ["gen", "--mu", "0.5,1.75,3.0", "--kind", "float64", "--out", "json"],
@@ -138,6 +141,11 @@ def stdout_pinned(argv: list[str]) -> bool:
     return argv[:1] != ["bench"] and "float64" not in argv and "lu" not in argv
 
 
+def first_line(out: str) -> str:
+    """The first line of ``out`` with its newline, or "" for no output."""
+    return "".join(out.splitlines(keepends=True)[:1])
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -157,6 +165,8 @@ def entry(argv: list[str]) -> dict:
             record["stdout_sha256"] = hashlib.sha256(out.encode()).hexdigest()
         else:
             record["stdout"] = out
+    elif "lu" in argv:
+        record["stdout_first_line"] = first_line(out)
     return record
 
 

@@ -39,7 +39,7 @@ def _report(number: int, text: str) -> None:
 def test_criterion_1_symbolic_determinant_identity():
     start = time.perf_counter()
     for n in range(1, 7):
-        det = det_cofactor(symbolic_ci_matrix(n), size_cap=n)
+        det = det_cofactor(symbolic_ci_matrix(n))
         product = vandermonde_product(n)
         assert det == product, f"n={n}: determinant != pairwise-difference product"
         assert det.terms == product.terms
@@ -70,7 +70,7 @@ def test_criterion_2_exact_oracle_equivalence():
 def test_criterion_3_proof_step_suite():
     for n in range(1, 7):
         matrix = symbolic_ci_matrix(n)
-        det = det_cofactor(matrix, size_cap=n)
+        det = det_cofactor(matrix)
         alternates = _alternates(n, det)
         assert verify_homogeneity(n, det).passed
         assert verify_row_degrees(matrix).passed

@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import cimatrix.cli
 from cli_corpus import run
 from conftest import GOLDEN_N4_ENTRIES, pretty_layout, read_gen_json
 from cimatrix.cli import BENCH_CSV_HEADER, build_parser, draw_bench_nodes, main, run_bench
-from cimatrix.matrix import build_ci_matrix, det_closed_form, det_lu, symbolic_ci_matrix
+from cimatrix.matrix import (
+    COFACTOR_CAP, SYMBOLIC_CAP, build_ci_matrix, det_closed_form, det_lu, symbolic_ci_matrix,
+)
 from cimatrix.scalars import float_to_string, rational_from_string
 
 
@@ -395,28 +397,42 @@ def test_verify_cap_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "--max-n", "99")
     assert code == 2
     assert "cap" in err
+    # --cap defaults to the cofactor cap and may only lower it.
+    assert build_parser().parse_args(["verify", "--max-n", "1"]).cap == COFACTOR_CAP
+    assert run_cli(capsys, "verify", "--max-n", "3", "--cap", "2") == (
+        2, "", "error: --max-n 3 exceeds cap 2: the size-3 determinant has 3! terms\n")
 
 
 def test_verify_refuses_sizes_above_its_ceiling_before_expanding(capsys, monkeypatch):
-    def expanding_suite(n, cap):
+    def expanding_suite(n):
         raise AssertionError(f"expanded size {n}")
 
     monkeypatch.setattr("cimatrix.cli.verify_suite", expanding_suite)
-    code, out, err = run_cli(capsys, "verify", "--max-n", "10", "--cap", "10")
-    assert (code, out) == (2, "")
-    assert err == "error: --max-n 10 exceeds the verify cap 9: the size-10 determinant has 10! terms\n"
+    for argv in (["--max-n", "10", "--cap", "10"], ["--max-n", "10"]):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --max-n 10 exceeds cap 9: the size-10 determinant has 10! terms\n"
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
     from cimatrix.verifier import CheckResult, VerificationReport
 
-    def broken_suite(n, cap):
-        return VerificationReport(n=n, checks=[CheckResult("homogeneity", False, "boom")])
+    def broken_suite(n):
+        return VerificationReport(n=n, checks=[
+            CheckResult("homogeneity", n < 2, "boom"), CheckResult("row-degrees", True, "fine"),
+            CheckResult("duality", n < 2, "boom")])
 
     monkeypatch.setattr("cimatrix.cli.verify_suite", broken_suite)
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "1")
+    code, out, err = run_cli(capsys, "verify", "--max-n", "1")
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "verify", "--max-n", "3")
     assert code == 3
-    assert "[FAIL]" in out
+    assert "[FAIL] n=2 homogeneity boom" in out.splitlines()
+    # One line, naming the first failing size and each of its failing checks.
+    assert err == "verification failed at n=2: homogeneity, duality\n"
+    code, out, err = run_cli(capsys, "verify", "--max-n", "2", "--json")
+    assert (code, err) == (3, "verification failed at n=2: homogeneity, duality\n")
+    assert out == json.dumps([broken_suite(n).to_dict() for n in (1, 2)], indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -593,3 +609,41 @@ def test_float_det_and_gen_end_in_an_answer_or_one_error_line(texts):
             assert err == ""
         else:
             assert code in (2, 3) and err.endswith("\n") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# every size ends in reports or a one-line error
+
+SIZES = st.integers(-2, 14)
+
+
+@given(SIZES, st.none() | SIZES, SIZES)
+@example(7, None, 8)  # the largest runs the property lets succeed
+@example(10, None, 13)  # one above each cap
+@example(9, 8, 0)
+@example(-2, -2, -2)
+def test_verify_and_gen_sizes_end_in_reports_or_one_error_line(max_n, cap, n):
+    ceiling = COFACTOR_CAP if cap is None else min(cap, COFACTOR_CAP)
+    # Runs that succeed stay at max_n <= 7 and n <= 8, so the property takes seconds.
+    assume(max_n <= 7 or max_n > ceiling)
+    assume(n <= 8 or n > SYMBOLIC_CAP)
+    verify = ["verify", "--max-n", str(max_n), "--json"] + ([] if cap is None else ["--cap", str(cap)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs = [(run(verify), 1 <= max_n <= ceiling),
+                (run(["gen", "--symbolic", "--n", str(n), "--out", "csv"]), 1 <= n <= SYMBOLIC_CAP)]
+    assert caught == []
+    for (code, out, err), succeeds in runs:
+        if succeeds:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    (code, out, _), _ = runs[0]
+    if code == 0:
+        reports = json.loads(out)
+        assert [report["n"] for report in reports] == list(range(1, max_n + 1))
+        assert all(report["passed"] for report in reports)
+    (code, out, _), _ = runs[1]
+    if code == 0:
+        assert len(out.splitlines()) == n

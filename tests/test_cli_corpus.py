@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cli_corpus import ARGVS, run
+from cli_corpus import ARGVS, first_line, run
 
 with open(os.path.join(os.path.dirname(__file__), "cli_corpus.json")) as _f:
     CORPUS = json.load(_f)
@@ -34,6 +34,8 @@ def test_corpus_entry(entry):
         assert out == entry["stdout"]
     elif "stdout_sha256" in entry:
         assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
+    elif "stdout_first_line" in entry:
+        assert first_line(out) == entry["stdout_first_line"]
 
 
 def test_exact_results_never_change_the_digit_limit(monkeypatch):

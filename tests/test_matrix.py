@@ -14,6 +14,8 @@ import cimatrix.matrix
 from conftest import GOLDEN_N4_ENTRIES, random_distinct_fractions, recomputed_leave_one_out
 from cimatrix.cli import draw_bench_nodes
 from cimatrix.matrix import (
+    COFACTOR_CAP,
+    SYMBOLIC_CAP,
     NumericalError,
     SizeCapError,
     build_ci_matrix,
@@ -576,11 +578,31 @@ def test_cofactor_zero_row():
     assert det_cofactor([[zero, zero], [one, one]]).is_zero
 
 
-def test_cofactor_cap():
-    with pytest.raises(SizeCapError):
-        det_cofactor(symbolic_ci_matrix(8))
-    # explicit cap raise is allowed
-    assert det_cofactor([[Fraction(3)]], size_cap=1) == 3
+def test_cofactor_cap(monkeypatch):
+    # Size COFACTOR_CAP = 9 still expands; size 10 is refused before any minor.
+    rng = random.Random(9)
+    rows = [[rng.randint(-5, 5) for _ in range(COFACTOR_CAP)] for _ in range(COFACTOR_CAP)]
+    assert det_cofactor(rows) == det_bareiss(rows) != 0
+    minors = []
+    monkeypatch.setattr(cimatrix.matrix, "_subset_minors", lambda *args: minors.append(args))
+    with pytest.raises(SizeCapError, match="capped at size 9, got 10"):
+        det_cofactor([[1] * 10 for _ in range(10)])
+    assert minors == []
+
+
+def test_symbolic_cap(monkeypatch):
+    # Sizes 1..SYMBOLIC_CAP build; 0 and 13 are refused before any build.
+    assert symbolic_ci_matrix(1).entries == ((MultiPoly.one(1),),)
+    assert symbolic_ci_matrix(SYMBOLIC_CAP).n == SYMBOLIC_CAP
+    builds = []
+    monkeypatch.setattr(cimatrix.matrix, "build_ci_matrix", builds.append)
+    monkeypatch.setattr(cimatrix.matrix, "variables", builds.append)
+    with pytest.raises(ValueError, match="at least 1, got 0") as refused:
+        symbolic_ci_matrix(0)
+    assert not isinstance(refused.value, SizeCapError)
+    with pytest.raises(SizeCapError, match=f"capped at size {SYMBOLIC_CAP}, got 13"):
+        symbolic_ci_matrix(SYMBOLIC_CAP + 1)
+    assert builds == []
 
 
 def leibniz_det(rows):
@@ -716,7 +738,7 @@ def test_cofactor_guard_on_products_that_cancel():
 @example([[3.8, -4.0, 2.2, 3.7, -2.7], [-2.7, -1.5, -2.4, 3.0, 1.0], [-2.5, 3.7, -2.4, 3.7, -0.9],
           [-3.8, -0.7, 3.5, -1.9, -1.3], [2.5, 0.7, 0.8, 1.7, -3.5]])
 def test_cofactor_on_scalars_keeps_values_and_types(rows):
-    value = det_cofactor(rows, size_cap=6)
+    value = det_cofactor(rows)
     expected = folded_cofactor(rows)
     assert type(value) is type(expected)
     assert value == expected
@@ -735,14 +757,14 @@ def test_cofactor_agrees_with_bareiss_on_rationals():
             [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
             for _ in range(n)
         ]
-        assert det_cofactor(rows, size_cap=n) == det_bareiss(rows)
+        assert det_cofactor(rows) == det_bareiss(rows)
     for n in range(1, 9):
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert det_cofactor(rows, size_cap=n) == det_bareiss(rows)
+        assert det_cofactor(rows) == det_bareiss(rows)
 
 
 def test_cofactor_symbolic_n8_is_the_vandermonde_product():
-    assert det_cofactor(symbolic_ci_matrix(8), size_cap=8) == vandermonde_product(8)
+    assert det_cofactor(symbolic_ci_matrix(8)) == vandermonde_product(8)
 
 
 def test_cofactor_splits_the_rows_to_cut_term_products(monkeypatch):
@@ -759,7 +781,7 @@ def test_cofactor_splits_the_rows_to_cut_term_products(monkeypatch):
         return _sum_products(pairs)
 
     monkeypatch.setattr("cimatrix.multipoly._sum_products", counting)
-    value = det_cofactor(matrix, size_cap=7)
+    value = det_cofactor(matrix)
     monkeypatch.undo()
     assert value == expected
     assert 0 < products <= 40_000
@@ -775,7 +797,7 @@ sparse_fractions = st.sampled_from([0, 0, 0, 0, Fraction(1, 2), Fraction(-2, 3),
 @example([[0, 0, 5], [1, 2, 0], [0, 3, 4]])
 @example([[0, 0], [Fraction(1, 2), 1]])  # a zero top row sums no product
 def test_cofactor_agrees_with_bareiss_on_sparse_matrices(rows):
-    assert det_cofactor(rows, size_cap=6) == det_bareiss(rows)
+    assert det_cofactor(rows) == det_bareiss(rows)
 
 
 # ---------------------------------------------------------------------------

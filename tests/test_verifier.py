@@ -29,7 +29,7 @@ def symbolic(n):
     """The size-n symbolic matrix, its expansion and that expansion's
     alternation certificate, as ``verify_suite`` forms them."""
     matrix = symbolic_ci_matrix(n)
-    det = det_cofactor(matrix, size_cap=n)
+    det = det_cofactor(matrix)
     return matrix, det, _alternates(n, det)
 
 
@@ -42,13 +42,19 @@ def test_homogeneity(n, degree):
 
 
 def test_suite_cap(monkeypatch):
-    builds = []
-    monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix", builds.append)
-    with pytest.raises(SizeCapError):
-        verify_suite(7)
-    with pytest.raises(ValueError):
+    # The suite keeps no cap: the kernels refuse size 0 before any build, and
+    # size 10 after its build but before any minor of the expansion.
+    builds, minors = [], []
+    build = cimatrix.matrix.build_ci_matrix
+    monkeypatch.setattr(cimatrix.matrix, "build_ci_matrix",
+                        lambda nodes: builds.append(len(nodes)) or build(nodes))
+    monkeypatch.setattr(cimatrix.matrix, "_subset_minors", lambda *args: minors.append(args))
+    with pytest.raises(ValueError) as refused:
         verify_suite(0)
-    assert builds == []  # refused before anything is built
+    assert not isinstance(refused.value, SizeCapError) and builds == []
+    with pytest.raises(SizeCapError, match="cofactor expansion capped at size 9, got 10"):
+        verify_suite(10)
+    assert builds == [10] and minors == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -123,10 +129,10 @@ def test_suite_expands_each_size_once(n, monkeypatch):
     monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix",
                         lambda size: builds.append(size) or build(size))
     monkeypatch.setattr(cimatrix.verifier, "det_cofactor",
-                        lambda matrix, size_cap: expansions.append(size_cap) or expand(matrix, size_cap))
+                        lambda matrix: expansions.append(matrix.n) or expand(matrix))
     monkeypatch.setattr(MultiPoly, "swap_variables",
                         lambda p, a, b: swaps.append((a, b)) or swap(p, a, b))
-    assert verify_suite(n, cap=7).passed
+    assert verify_suite(n).passed
     assert builds == [n]
     assert expansions == [n]
     assert swaps == [(k, k + 1) for k in range(1, n)]
@@ -141,7 +147,7 @@ def test_a_cold_suite_identifies_only_columns(monkeypatch):
     monkeypatch.setattr(MultiPoly, "identify_variables",
                         lambda p, keep, replace: sizes.append(len(p._terms))
                         or identify(p, keep, replace))
-    assert verify_suite(7, cap=7).passed
+    assert verify_suite(7).passed
     assert factorial(7) not in sizes
     assert len(sizes) == 21 * 2 * 7
 
@@ -329,7 +335,7 @@ def test_a_cold_suite_never_expands_the_vandermonde_product(monkeypatch):
     monkeypatch.setattr(cimatrix.verifier, "vandermonde_product",
                         lambda n: calls.append(n) or vandermonde_product(n))
     for n in range(1, 9):
-        assert verify_suite(n, cap=n).passed
+        assert verify_suite(n).passed
     assert calls == []
 
 
@@ -362,7 +368,7 @@ def test_duality_probe_witness_stays_exact(monkeypatch, capsys):
     assert cimatrix.cli.main(["verify", "--max-n", "3"]) == 3
     out, err = capsys.readouterr()
     assert "[FAIL] n=3 duality offdiag=1 diag_rel=1/2" in out.splitlines()
-    assert err == ""
+    assert err == "verification failed at n=3: duality\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
