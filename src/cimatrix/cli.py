@@ -312,8 +312,8 @@ def cmd_bench(args) -> int:
     sys.stdout.write(BENCH_CSV_HEADER + "\n")
     for record in records:
         sys.stdout.write(record.csv_row() + "\n")
-    for message in mismatches:
-        print(message, file=sys.stderr)
+    if mismatches:
+        print("; ".join(mismatches), file=sys.stderr)
     return 3 if mismatches else 0
 
 

@@ -33,10 +33,10 @@ raw sums, checked for guard bits over every key, cancelled ones included.
 ``*`` is its one-pair case, ``+`` feeds it products with 1, and
 ``ring_sum_of_products`` a whole cofactor minor, or the join of the row
 split, from ``matrix.det_cofactor``, normalized once instead of once per
-product and per partial sum.  ``substitute``, ``identify_variables`` and
-``swap_variables`` each move every term in one pass of their own; the
-identification guard-checks the terms that survive, since a merged
-exponent past the limit may cancel, and the swap, a bijection, none.
+product and per partial sum.  ``substitute``, ``identify_variables``,
+``swap_variables`` and ``cycle_variables`` each move every term in one pass
+of their own; the identification guard-checks the terms that survive, since
+a merged exponent past the limit may cancel, and the two bijections none.
 
 Queries read exponents from one table: all keys' fields, flat, in term-map
 order, decoded on first use by one ``struct`` unpack, so a cofactor minor or
@@ -338,6 +338,15 @@ class MultiPoly:
         move = (1 << _shift(n, a - 1)) - (1 << _shift(n, b - 1))
         deltas = map(mul, map(sub, table[b - 1 :: n], table[a - 1 :: n]), repeat(move))
         return MultiPoly._wrap(n, dict(zip(map(add, self._terms, deltas), self._terms.values())))
+
+    def cycle_variables(self) -> "MultiPoly":
+        """Map u<i> to u<i+1> and u<n> to u1: u<n>'s field, the lowest of each
+        key, moves to the top, u1's, and the others shift down one field."""
+        n, low, top = self.nvars, (1 << FIELD_BITS) - 1, _shift(self.nvars, 0)
+        if n < 2:
+            return self
+        return MultiPoly._wrap(n, {k >> FIELD_BITS | (k & low) << top: c
+                                   for k, c in self._terms.items()})
 
     def evaluate(self, point: Sequence):
         """Exact value at ``point`` (one scalar per variable)."""

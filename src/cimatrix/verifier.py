@@ -9,10 +9,11 @@ builds the symbolic matrix once, expands D once by the cofactor oracle
 (whose own cap refuses large sizes: D has n! terms) and computes one
 alternation certificate, and each check reads the values it is given.
 
-The certificate reads whether swapping u_k and u_(k+1) negates D for
-every k < n.  Adjacent swaps generate S_n, so D alternates, and
-u_j := u_i gives D = -D, which is 0 over Q.  Over Q an alternating D of
-degree n(n-1)/2 is also c*V for a constant c, and V leads with
+The certificate reads whether u1 <-> u2 negates D and whether the cycle
+u_i -> u_(i+1 mod n) multiplies it by its sign (-1)^(n-1).  The g with
+g(D) = sgn(g)*D form a subgroup of S_n, which these two generate, so D
+alternates, and u_j := u_i gives D = -D, which is 0 over Q.  Over Q an
+alternating D of degree n(n-1)/2 is c*V for a constant c, and V leads with
 u2*u3^2*...*un^(n-1) and coefficient 1, so D = V exactly when D does too.
 """
 
@@ -77,9 +78,14 @@ class VerificationReport:
 
 
 def _alternates(n: int, det: MultiPoly) -> bool:
-    """Whether every adjacent swap u_k <-> u_(k+1), k < n, negates ``det``."""
-    negated = -det
-    return all(det.swap_variables(k, k + 1) == negated for k in range(1, n))
+    """Whether ``det``, in n variables, alternates: u1 <-> u2 negates it and the
+    cycle u_i -> u_(i+1 mod n) multiplies it by (-1)^(n-1).  The cycle's k-th
+    power conjugates the swap to u_(k+1) <-> u_(k+2): this is their verdict."""
+    if n != det.nvars:
+        raise ValueError(f"alternation in {n} variables asked of a polynomial in {det.nvars}")
+    negated = -det  # the swapped map is freed before the cycled one is built
+    return n < 2 or (det.swap_variables(1, 2) == negated
+                     and det.cycle_variables() == (det if n % 2 else negated))
 
 
 def verify_homogeneity(n: int, det: MultiPoly) -> CheckResult:

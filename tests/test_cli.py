@@ -647,3 +647,69 @@ def test_verify_and_gen_sizes_end_in_reports_or_one_error_line(max_n, cap, n):
     (code, out, _), _ = runs[1]
     if code == 0:
         assert len(out.splitlines()) == n
+
+
+# ---------------------------------------------------------------------------
+# every bench size list ends in a CSV or a one-line error
+
+BENCH_SIZE_TEXTS = st.one_of(
+    st.integers(-1, 24).map(str),
+    st.sampled_from(["320", "1025", "x", "", "2.5", " 3"]),
+)
+
+
+def _bench_refusal(sizes: list[str], repeats: int, seed: int) -> str | None:
+    """The one-line error of a bench run refused before any build, or None."""
+    try:
+        n_list = [int(piece) for piece in sizes]
+    except ValueError:
+        return f"error: malformed --n-list {','.join(sizes)!r}"
+    if min(n_list) < 1:
+        return "error: every n must be positive"
+    if max(n_list) > 1024:
+        return f"error: --n-list size {max(n_list)} exceeds the bench cap 1024"
+    if repeats < 1:
+        return "error: repeats must be positive"
+    if seed < 0:
+        return "error: seed must be non-negative"
+    return None
+
+
+@given(st.lists(BENCH_SIZE_TEXTS, min_size=1, max_size=4), st.integers(0, 3),
+       st.one_of(st.integers(-2, 9), st.integers(2**32, 2**70)))
+@example(["24", "16"], 1, 0)  # the LU digest diverges at both sizes
+@example(["4", "320"], 1, 0)  # the float build overflows at n=320
+@example(["320", "1025"], 1, 0)
+@example(["", "x"], 0, -1)
+def test_bench_sizes_end_in_a_csv_or_one_error_line(sizes, repeats, seed):
+    builds = []
+    build = cimatrix.cli.build_ci_matrix
+    argv = ["bench", f"--n-list={','.join(sizes)}", "--repeats", str(repeats), "--seed", str(seed)]
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("always")
+        patch.setattr(cimatrix.cli, "build_ci_matrix",
+                      lambda nodes: builds.append(len(nodes)) or build(nodes))
+        code, out, err = run(argv)
+    assert caught == []
+    refusal = _bench_refusal(sizes, repeats, seed)
+    if refusal is not None:
+        assert (code, out, err, builds) == (2, "", refusal + "\n", [])
+        return
+    n_list = [int(piece) for piece in sizes]
+    if 320 in n_list:
+        assert (code, out) == (3, "")
+        assert err == "error: numerical failure in float CI-matrix build: an entry is not finite\n"
+        return
+    assert builds == n_list
+    lines = out.splitlines()
+    assert lines[0] == BENCH_CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(r[0]), r[1], int(r[3])) for r in rows] == [
+        (n, method, repeats) for n in n_list for method in ("closed_form", "lu")]
+    diverged = sorted({int(a[0]) for a, b in zip(rows[::2], rows[1::2]) if a[4] != b[4]})
+    if not diverged:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 3 and err.endswith("\n") and err.count("\n") == 1
+        assert sorted({int(part.split(":")[0].removeprefix("n="))
+                       for part in err.split("; ")}) == diverged

@@ -181,6 +181,8 @@ def test_vandermonde_antisymmetry(n):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             assert swap_variables(product, i, j) == -product
+    # The n-cycle multiplies it by its sign.
+    assert product.cycle_variables() == (-1) ** (n - 1) * product
 
 
 def test_swap_variables_validates_indices_and_keeps_a_self_swap():
@@ -244,7 +246,7 @@ def test_arithmetic_results_are_canonical(p, q, i, j, value):
     # Results are wrapped without the validating constructor, so check that
     # they are in the form it would produce.
     for r in (p + q, p - q, p * q, -p, p.substitute(i, value), p.identify_variables(i, j),
-              p.swap_variables(i, j)):
+              p.swap_variables(i, j), p.cycle_variables()):
         for monomial, coeff in r.terms.items():
             assert type(coeff) is Fraction and coeff != 0
             assert type(monomial) is tuple and len(monomial) == 3
@@ -381,6 +383,52 @@ def test_swap_variables_matches_the_decoded_swap(case):
     assert swapped.evaluate(point) == p.evaluate(exchanged)
 
 
+def cycle_variables(p: MultiPoly) -> MultiPoly:
+    """p with u<i> replaced by u<i+1> and u<n> by u1: every exponent vector
+    rotated right by one slot."""
+    return MultiPoly(p.nvars, {m[-1:] + m[:-1]: c for m, c in p.terms.items()})
+
+
+cycle_cases = st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(
+        st.tuples(*[wide_exponents] * n),
+        st.one_of(st.integers(-9, 9), st.fractions(max_denominator=20)),
+        max_size=4,
+    ),
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+))
+
+
+@given(cycle_cases)
+def test_cycle_variables_matches_the_decoded_rotation(case):
+    n, terms, point = case
+    p = MultiPoly(n, terms)
+    cycled = p.cycle_variables()
+    assert cycled.terms == cycle_variables(p).terms == reference_decode(cycled)
+    # The result's exponent table, filled on first use, holds the rotated rows.
+    table = cycled._exponents()
+    assert len(table) == n * len(p.terms)
+    if n:
+        rows = sorted(table[k : k + n] for k in range(0, len(table), n))
+        assert rows == sorted(m[-1:] + m[:-1] for m in p.terms)
+    assert cycled.evaluate(point) == p.evaluate(point[1:] + point[:1])
+    again = p
+    for _ in range(n):
+        again = again.cycle_variables()
+    assert again == p
+    if n < 2:
+        assert cycled is p
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cycle_variables_moves_the_largest_exponent_intact(n):
+    top = EXPONENT_LIMIT - 1
+    p = MultiPoly(n, {(0,) * (n - 1) + (top,): 3, tuple(range(n - 1)) + (top,): Fraction(-1, 2)})
+    assert p.cycle_variables().terms == {
+        (top,) + (0,) * (n - 1): 3, (top,) + tuple(range(n - 1)): Fraction(-1, 2)}
+
+
 def reference_decode(p: MultiPoly) -> dict:
     """The term map decoded key by key with shifts and masks, u1 in the most
     significant field: the reference for ``terms``."""
@@ -420,7 +468,7 @@ def table_queries(nvars: int) -> list:
             lambda p, i=index: p.identify_variables(i, 1),
             lambda p, i=index: p.swap_variables(1, i),
         ]
-    return queries
+    return queries + [lambda p: p.cycle_variables()]
 
 
 table_exponents = st.one_of(

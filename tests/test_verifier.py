@@ -121,21 +121,23 @@ def with_entry(matrix, h, k, value):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_suite_expands_each_size_once(n, monkeypatch):
-    # One build, one expansion and one certificate (n-1 adjacent swaps):
-    # nothing a check reads is formed twice.
-    builds, expansions, swaps = [], [], []
+    # One build, one expansion and one certificate (the swap u1 <-> u2 and
+    # the cycle, none at n=1): nothing a check reads is formed twice.
+    builds, expansions, moves = [], [], []
     build, expand = cimatrix.verifier.symbolic_ci_matrix, cimatrix.verifier.det_cofactor
-    swap = MultiPoly.swap_variables
+    swap, cycle = MultiPoly.swap_variables, MultiPoly.cycle_variables
     monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix",
                         lambda size: builds.append(size) or build(size))
     monkeypatch.setattr(cimatrix.verifier, "det_cofactor",
                         lambda matrix: expansions.append(matrix.n) or expand(matrix))
     monkeypatch.setattr(MultiPoly, "swap_variables",
-                        lambda p, a, b: swaps.append((a, b)) or swap(p, a, b))
+                        lambda p, a, b: moves.append((a, b)) or swap(p, a, b))
+    monkeypatch.setattr(MultiPoly, "cycle_variables",
+                        lambda p: moves.append("cycle") or cycle(p))
     assert verify_suite(n).passed
     assert builds == [n]
     assert expansions == [n]
-    assert swaps == [(k, k + 1) for k in range(1, n)]
+    assert moves == ([(1, 2), "cycle"] if n >= 2 else [])
 
 
 def test_a_cold_suite_identifies_only_columns(monkeypatch):
@@ -237,6 +239,7 @@ def test_equal_columns_fails_on_columns_that_differ():
 def test_determinant_identity_fails_on_a_zero_expansion():
     n = 3
     zero = MultiPoly.zero(n)
+    assert _alternates(n, zero) and adjacent_swaps_alternate(n, zero)
     result, constant = verify_determinant_identity(n, zero, _alternates(n, zero))
     assert result.passed is False
     assert result.witness == "determinant expanded to 0"
@@ -251,9 +254,18 @@ def expand_and_compare(n, det):
     return det == product and constant == 1, constant
 
 
+def adjacent_swaps_alternate(n, det):
+    """The certificate as every adjacent swap u_k <-> u_(k+1), k < n, negating
+    ``det``: the reference for ``_alternates``."""
+    return all(det.swap_variables(k, k + 1) == -det for k in range(1, n))
+
+
 def assert_identity_matches_the_expansion(n, det):
-    # The certificate is the fed determinant's own, read in its own arity.
-    result, constant = verify_determinant_identity(n, det, _alternates(det.nvars, det))
+    # The certificate is the fed determinant's own, read in its own arity, and
+    # gives the adjacent swaps' verdict.
+    certificate = _alternates(det.nvars, det)
+    assert certificate == adjacent_swaps_alternate(det.nvars, det)
+    result, constant = verify_determinant_identity(n, det, certificate)
     passed, expected = expand_and_compare(n, det)
     assert (result.passed, constant) == (passed, expected)
     assert result.witness == (f"constant={rational_to_string(expected)} "
@@ -328,6 +340,32 @@ def fed_term_maps(draw):
 @example((4, MultiPoly(4, {(0, 1, 2, 3): 1})))  # V's leading term alone
 def test_determinant_identity_matches_the_expansion_on_random_term_maps(case):
     assert_identity_matches_the_expansion(*case)
+
+
+def test_alternates_refuses_another_arity():
+    for n, det in [(2, vandermonde_product(3)), (3, vandermonde_product(2)),
+                   (0, MultiPoly.one(1)), (1, MultiPoly.zero(0))]:
+        with pytest.raises(ValueError, match="variables"):
+            _alternates(n, det)
+
+
+def test_each_generator_alone_lets_a_counterexample_through():
+    u1, u2, u3 = variables(3)
+    swap_only = u2 - u1  # negated by u1 <-> u2, sent to u3 - u2 by the cycle
+    cycle_only = u1 * u1 * u2 + u2 * u2 * u3 + u3 * u3 * u1  # kept by the cycle
+    assert swap_only.swap_variables(1, 2) == -swap_only
+    assert swap_only.cycle_variables() != swap_only
+    assert cycle_only.cycle_variables() == cycle_only
+    assert cycle_only.swap_variables(1, 2) != -cycle_only
+    for det in (swap_only, cycle_only):
+        assert _alternates(3, det) is adjacent_swaps_alternate(3, det) is False
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_the_cycle_negates_an_alternating_determinant_of_even_size(n):
+    det = vandermonde_product(n) * Fraction(-2, 3)
+    assert det.cycle_variables() == -det
+    assert _alternates(n, det) and adjacent_swaps_alternate(n, det)
 
 
 def test_a_cold_suite_never_expands_the_vandermonde_product(monkeypatch):
