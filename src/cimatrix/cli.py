@@ -308,10 +308,11 @@ def cmd_bench(args) -> int:
         raise ValueError("every n must be positive")
     if max(n_list) > BENCH_N_CAP:
         raise SizeCapError(f"--n-list size {max(n_list)} exceeds the bench cap {BENCH_N_CAP}")
-    records, mismatches = run_bench(n_list, args.repeats, args.seed)
-    sys.stdout.write(BENCH_CSV_HEADER + "\n")
-    for record in records:
-        sys.stdout.write(record.csv_row() + "\n")
+    header, mismatches = BENCH_CSV_HEADER + "\n", []
+    for n in n_list:  # each size's rows go out as it ends: a size that fails later keeps them
+        records, found = run_bench([n], args.repeats, args.seed)
+        sys.stdout.write(header + "".join(record.csv_row() + "\n" for record in records))
+        header, mismatches = "", mismatches + found
     if mismatches:
         print("; ".join(mismatches), file=sys.stderr)
     return 3 if mismatches else 0

@@ -6,15 +6,20 @@ force D to equal the pairwise-difference product V (homogeneity, per-row
 degrees, vanishing under equal nodes, the block factorization after
 setting u1 := 0).  Only ``verify_suite`` builds and expands: per size it
 builds the symbolic matrix once, expands D once by the cofactor oracle
-(whose own cap refuses large sizes: D has n! terms) and computes one
-alternation certificate, and each check reads the values it is given.
+(whose own cap refuses large sizes: D has n! terms), takes D's degree set
+and two certificates, and each check reads the values it is given.
 
-The certificate reads whether u1 <-> u2 negates D and whether the cycle
-u_i -> u_(i+1 mod n) multiplies it by its sign (-1)^(n-1).  The g with
-g(D) = sgn(g)*D form a subgroup of S_n, which these two generate, so D
+Both certificates read the generators u1 <-> u2 and u_i -> u_(i+1 mod n)
+of S_n.  The alternation certificate: they multiply D by their signs -1
+and (-1)^(n-1).  The g with g(D) = sgn(g)*D form a subgroup, so D
 alternates, and u_j := u_i gives D = -D, which is 0 over Q.  Over Q an
 alternating D of degree n(n-1)/2 is c*V for a constant c, and V leads with
 u2*u3^2*...*un^(n-1) and coefficient 1, so D = V exactly when D does too.
+The column certificate: each generator g maps every column k onto column
+g(k).  Such g form a subgroup too, so (i j) maps column i onto column j,
+and u_j := u_i, which (i j) leaves alone, merges them.  A certificate only
+skips work: where it fails, a check computes what it would have settled,
+so every verdict is the one that computation gives.
 """
 
 from __future__ import annotations
@@ -88,9 +93,20 @@ def _alternates(n: int, det: MultiPoly) -> bool:
                      and det.cycle_variables() == (det if n % 2 else negated))
 
 
-def verify_homogeneity(n: int, det: MultiPoly) -> CheckResult:
-    """The size-n determinant ``det`` is homogeneous of total degree n(n-1)/2."""
-    degrees = det.total_degrees()
+def _permutes_columns(matrix: CIMatrix) -> bool:
+    """The column certificate (module docstring) of the size-n ``matrix``, whose
+    entries must be polynomials in n variables."""
+    n, rows = matrix.n, matrix.entries
+    return all(entry.nvars == n for row in rows for entry in row) and all(
+        (n < 2 or (row[0].swap_variables(1, 2) == row[1]
+                   and all(entry.swap_variables(1, 2) == entry for entry in row[2:])))
+        and all(row[k].cycle_variables() == row[(k + 1) % n] for k in range(n))
+        for row in rows)
+
+
+def verify_homogeneity(n: int, degrees: set[int]) -> CheckResult:
+    """The size-n determinant, whose degree set is ``degrees``, is homogeneous
+    of total degree n(n-1)/2."""
     expected = {n * (n - 1) // 2}
     return CheckResult(
         "homogeneity",
@@ -115,18 +131,19 @@ def verify_row_degrees(matrix: CIMatrix) -> CheckResult:
 
 
 def verify_equal_column_vanish(
-    matrix: CIMatrix, det: MultiPoly, alternates: bool, i: int, j: int
+    matrix: CIMatrix, det: MultiPoly, alternates: bool, permutes: bool, i: int, j: int
 ) -> CheckResult:
     """Identifying nodes i and j kills ``det`` and merges columns i and j of
     ``matrix``; ``det`` is identified only where ``alternates``, its
-    certificate, is false."""
+    certificate, is false, and the columns only where ``permutes``, the
+    matrix's column certificate, is."""
     n = matrix.n
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i} j={j} n={n}")
     det_ok = alternates or det.identify_variables(i, j).is_zero
-    column_i = [entry.identify_variables(i, j) for entry in matrix.column(i)]
-    column_j = [entry.identify_variables(i, j) for entry in matrix.column(j)]
-    columns_ok = column_i == column_j
+    columns_ok = permutes or (
+        [entry.identify_variables(i, j) for entry in matrix.column(i)]
+        == [entry.identify_variables(i, j) for entry in matrix.column(j)])
     parts = []
     if not det_ok:
         parts.append("determinant nonzero after identification")
@@ -137,10 +154,10 @@ def verify_equal_column_vanish(
 
 
 def verify_determinant_identity(
-    n: int, det: MultiPoly, alternates: bool
+    n: int, det: MultiPoly, alternates: bool, degrees: set[int]
 ) -> tuple[CheckResult, Fraction | None]:
     """The size-n determinant ``det`` equals the pairwise-difference product V;
-    ``alternates`` is its alternation certificate.
+    ``alternates`` is its alternation certificate and ``degrees`` its degree set.
 
     An alternating D of degree n(n-1)/2 is c*V, and c is D's leading
     coefficient because V's is 1.  So D = V exactly when D also leads with
@@ -151,12 +168,12 @@ def verify_determinant_identity(
     monomial, constant = det.leading_term()
     # Comparing the monomial first also turns away another arity.
     difference_zero = (monomial, constant) == (tuple(range(n)), 1) and (
-        det.total_degrees() == {n * (n - 1) // 2} and alternates)
+        degrees == {n * (n - 1) // 2} and alternates)
     witness = f"constant={rational_to_string(constant)} difference={'0' if difference_zero else 'nonzero'}"
     return CheckResult("determinant-identity", difference_zero, witness), constant
 
 
-def verify_first_node_zero_block(matrix: CIMatrix, det: MultiPoly) -> CheckResult:
+def verify_first_node_zero_block(matrix: CIMatrix, det: MultiPoly, identity: bool) -> CheckResult:
     """Structure of the size-n CI-matrix ``matrix``, n >= 2, with expansion
     ``det``, after substituting u1 := 0.
 
@@ -164,7 +181,8 @@ def verify_first_node_zero_block(matrix: CIMatrix, det: MultiPoly) -> CheckResul
     (b) the rest of the first row vanishes, (c) the trailing block is the
     CI-matrix of the remaining nodes, and (d) the determinant factors as
     that product times the pairwise-difference product of the remaining
-    nodes.
+    nodes.  (d) is computed only where ``identity``, the verdict that
+    ``det`` is V, is false: V(u1 := 0) is that factored product.
     """
     size = matrix.n
     if size < 2:
@@ -188,7 +206,7 @@ def verify_first_node_zero_block(matrix: CIMatrix, det: MultiPoly) -> CheckResul
         failures.append("trailing block is not the CI-matrix of the remaining nodes")
     # u1 := 0 is a ring homomorphism, so it commutes with the determinant:
     # substituting into the expansion is det of ``substituted``.
-    if det.substitute(1, 0) != prefactor * det_closed_form(tail):
+    if not identity and det.substitute(1, 0) != prefactor * det_closed_form(tail):
         failures.append("determinant does not factor through the trailing block")
     witness = (
         "u1:=0 gives (product, 0...) first row, CI block, factored determinant"
@@ -218,16 +236,16 @@ def verify_suite(n: int) -> VerificationReport:
     ``det_cofactor`` above ``COFACTOR_CAP``."""
     matrix = symbolic_ci_matrix(n)
     det = det_cofactor(matrix)
-    alternates = _alternates(n, det)
+    alternates, degrees = _alternates(n, det), det.total_degrees()
+    permutes = _permutes_columns(matrix)
     report = VerificationReport(n=n)
-    identity, report.extracted_constant = verify_determinant_identity(n, det, alternates)
+    identity, report.extracted_constant = verify_determinant_identity(n, det, alternates, degrees)
     report.checks.append(identity)
-    report.checks.append(verify_homogeneity(n, det))
+    report.checks.append(verify_homogeneity(n, degrees))
     report.checks.append(verify_row_degrees(matrix))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            report.checks.append(verify_equal_column_vanish(matrix, det, alternates, i, j))
+    report.checks += [verify_equal_column_vanish(matrix, det, alternates, permutes, i, j)
+                      for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if n >= 2:
-        report.checks.append(verify_first_node_zero_block(matrix, det))
+        report.checks.append(verify_first_node_zero_block(matrix, det, identity.passed))
     report.checks.append(verify_duality_probe(n))
     return report

@@ -696,16 +696,19 @@ def test_bench_sizes_end_in_a_csv_or_one_error_line(sizes, repeats, seed):
         assert (code, out, err, builds) == (2, "", refusal + "\n", [])
         return
     n_list = [int(piece) for piece in sizes]
-    if 320 in n_list:
-        assert (code, out) == (3, "")
-        assert err == "error: numerical failure in float CI-matrix build: an entry is not finite\n"
-        return
-    assert builds == n_list
+    # Each size's rows are written as it ends: the sizes before an n=320,
+    # whose float build overflows, keep theirs.
+    done = n_list[:n_list.index(320)] if 320 in n_list else n_list
+    assert builds == n_list[:len(done) + 1]
     lines = out.splitlines()
-    assert lines[0] == BENCH_CSV_HEADER
+    assert lines[:1] == ([BENCH_CSV_HEADER] if done else [])
     rows = [line.split(",") for line in lines[1:]]
     assert [(int(r[0]), r[1], int(r[3])) for r in rows] == [
-        (n, method, repeats) for n in n_list for method in ("closed_form", "lu")]
+        (n, method, repeats) for n in done for method in ("closed_form", "lu")]
+    if done != n_list:
+        assert code == 3
+        assert err == "error: numerical failure in float CI-matrix build: an entry is not finite\n"
+        return
     diverged = sorted({int(a[0]) for a, b in zip(rows[::2], rows[1::2]) if a[4] != b[4]})
     if not diverged:
         assert (code, err) == (0, "")

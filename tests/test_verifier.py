@@ -14,7 +14,9 @@ from cimatrix.matrix import SizeCapError, det_cofactor, symbolic_ci_matrix
 from cimatrix.multipoly import MultiPoly, vandermonde_product, variables
 from cimatrix.scalars import rational_to_string
 from cimatrix.verifier import (
+    CheckResult,
     _alternates,
+    _permutes_columns,
     verify_determinant_identity,
     verify_duality_probe,
     verify_equal_column_vanish,
@@ -26,17 +28,18 @@ from cimatrix.verifier import (
 
 
 def symbolic(n):
-    """The size-n symbolic matrix, its expansion and that expansion's
-    alternation certificate, as ``verify_suite`` forms them."""
+    """The size-n symbolic matrix, its expansion, that expansion's alternation
+    certificate and the matrix's column certificate, as ``verify_suite``
+    forms them."""
     matrix = symbolic_ci_matrix(n)
     det = det_cofactor(matrix)
-    return matrix, det, _alternates(n, det)
+    return matrix, det, _alternates(n, det), _permutes_columns(matrix)
 
 
 @pytest.mark.parametrize("n,degree", [(2, 1), (3, 3), (4, 6)])
 def test_homogeneity(n, degree):
-    _, det, _ = symbolic(n)
-    result = verify_homogeneity(n, det)
+    det = symbolic(n)[1]
+    result = verify_homogeneity(n, det.total_degrees())
     assert result.passed
     assert str(degree) in result.witness
 
@@ -77,8 +80,8 @@ def test_equal_column_vanish_validates_indices():
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_determinant_identity(n):
-    _, det, alternates = symbolic(n)
-    result, constant = verify_determinant_identity(n, det, alternates)
+    _, det, alternates, _ = symbolic(n)
+    result, constant = verify_determinant_identity(n, det, alternates, det.total_degrees())
     assert result.passed
     assert constant == Fraction(1)
 
@@ -96,7 +99,7 @@ def test_first_node_zero_block_size2():
     assert substituted[0] == [u2, MultiPoly.zero(2)]
     assert substituted[1] == [MultiPoly.one(2), MultiPoly.one(2)]
     assert det_cofactor(substituted) == u2
-    assert verify_first_node_zero_block(*symbolic(2)[:2]).passed
+    assert verify_first_node_zero_block(*symbolic(2)[:2], False).passed
 
 
 def test_first_node_zero_block_size3():
@@ -106,11 +109,11 @@ def test_first_node_zero_block_size3():
     assert substituted[0][0] == u2 * u3
     assert substituted[0][1].is_zero and substituted[0][2].is_zero
     assert det_cofactor(substituted) == u2 * u3 * (u3 - u2)
-    assert verify_first_node_zero_block(*symbolic(3)[:2]).passed
+    assert verify_first_node_zero_block(*symbolic(3)[:2], False).passed
 
 
 def test_first_node_zero_block_size4():
-    assert verify_first_node_zero_block(*symbolic(4)[:2]).passed
+    assert verify_first_node_zero_block(*symbolic(4)[:2], False).passed
 
 
 def with_entry(matrix, h, k, value):
@@ -121,37 +124,44 @@ def with_entry(matrix, h, k, value):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_suite_expands_each_size_once(n, monkeypatch):
-    # One build, one expansion and one certificate (the swap u1 <-> u2 and
-    # the cycle, none at n=1): nothing a check reads is formed twice.
-    builds, expansions, moves = [], [], []
+    # One build, one expansion and one alternation certificate (the swap
+    # u1 <-> u2 and the cycle on the n!-term expansion, none at n=1): nothing
+    # a check reads is formed twice.  The column certificate moves each of
+    # the n^2 entries once by the cycle, and each outside column 2 once by
+    # the swap (none at n=1): the swap is an involution.
+    builds, expansions, det_moves, entry_moves = [], [], [], []
     build, expand = cimatrix.verifier.symbolic_ci_matrix, cimatrix.verifier.det_cofactor
     swap, cycle = MultiPoly.swap_variables, MultiPoly.cycle_variables
+
+    def moved(p, move):
+        (det_moves if expansions and p is expansions[0] else entry_moves).append(move)
+
     monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix",
                         lambda size: builds.append(size) or build(size))
     monkeypatch.setattr(cimatrix.verifier, "det_cofactor",
-                        lambda matrix: expansions.append(matrix.n) or expand(matrix))
+                        lambda matrix: expansions.append(expand(matrix)) or expansions[-1])
     monkeypatch.setattr(MultiPoly, "swap_variables",
-                        lambda p, a, b: moves.append((a, b)) or swap(p, a, b))
+                        lambda p, a, b: moved(p, (a, b)) or swap(p, a, b))
     monkeypatch.setattr(MultiPoly, "cycle_variables",
-                        lambda p: moves.append("cycle") or cycle(p))
+                        lambda p: moved(p, "cycle") or cycle(p))
     assert verify_suite(n).passed
     assert builds == [n]
-    assert expansions == [n]
-    assert moves == ([(1, 2), "cycle"] if n >= 2 else [])
+    assert [det.nvars for det in expansions] == [n]
+    assert len(expansions[0].terms) == factorial(n)
+    assert det_moves == ([(1, 2), "cycle"] if n >= 2 else [])
+    assert sorted(entry_moves, key=str) == [(1, 2)] * n * (n - 1) + ["cycle"] * n * n
 
 
-def test_a_cold_suite_identifies_only_columns(monkeypatch):
-    # The alternation certificate settles every determinant half at n=7, so
-    # the 5040-term expansion is never identified; each pair still
-    # identifies both of its 7-entry columns.
-    sizes = []
+def test_a_ci_matrix_suite_at_n7_identifies_nothing(monkeypatch):
+    # The alternation certificate settles every determinant half and the
+    # column certificate every column half at n=7: nothing is identified.
+    identified = []
     identify = MultiPoly.identify_variables
     monkeypatch.setattr(MultiPoly, "identify_variables",
-                        lambda p, keep, replace: sizes.append(len(p._terms))
+                        lambda p, keep, replace: identified.append(len(p._terms))
                         or identify(p, keep, replace))
     assert verify_suite(7).passed
-    assert factorial(7) not in sizes
-    assert len(sizes) == 21 * 2 * 7
+    assert identified == []
 
 
 def test_first_node_zero_block_fails_on_a_wrong_trailing_block():
@@ -159,7 +169,7 @@ def test_first_node_zero_block_fails_on_a_wrong_trailing_block():
     matrix = symbolic_ci_matrix(n)
     u3 = variables(n)[2]
     bad = with_entry(matrix, 3, 2, matrix.entry(3, 2) + u3)
-    result = verify_first_node_zero_block(bad, vandermonde_product(n))
+    result = verify_first_node_zero_block(bad, vandermonde_product(n), False)
     assert not result.passed
     assert result.witness == "trailing block is not the CI-matrix of the remaining nodes"
 
@@ -169,7 +179,7 @@ def test_first_node_zero_block_fails_on_a_wrong_corner():
     matrix = symbolic_ci_matrix(n)
     u2 = variables(n)[1]
     bad = with_entry(matrix, 1, 1, matrix.entry(1, 1) + u2)
-    result = verify_first_node_zero_block(bad, vandermonde_product(n))
+    result = verify_first_node_zero_block(bad, vandermonde_product(n), False)
     assert not result.passed
     assert result.witness == "(1,1) entry is not the product of the remaining nodes"
 
@@ -178,7 +188,7 @@ def test_first_node_zero_block_fails_on_a_wrong_determinant():
     n = 4
     _, u2, u3, _ = variables(n)
     det = vandermonde_product(n) + u2 * u3
-    result = verify_first_node_zero_block(symbolic_ci_matrix(n), det)
+    result = verify_first_node_zero_block(symbolic_ci_matrix(n), det, identity=False)
     assert not result.passed
     assert result.witness == "determinant does not factor through the trailing block"
 
@@ -188,7 +198,7 @@ def test_first_node_zero_block_fails_on_a_nonzero_trailing_entry():
     matrix = symbolic_ci_matrix(n)
     _, u2, u3, _ = variables(n)
     bad = with_entry(matrix, 1, 2, matrix.entry(1, 2) + u2 * u3)
-    result = verify_first_node_zero_block(bad, vandermonde_product(n))
+    result = verify_first_node_zero_block(bad, vandermonde_product(n), False)
     assert result.passed is False
     assert result.witness == "first row has a nonzero trailing entry"
 
@@ -206,19 +216,23 @@ def test_equal_columns_fails_on_a_determinant_that_survives():
     n = 3
     u1 = variables(n)[0]
     det = vandermonde_product(n) + u1
-    result = verify_equal_column_vanish(symbolic_ci_matrix(n), det, _alternates(n, det), 1, 2)
+    matrix = symbolic_ci_matrix(n)
+    result = verify_equal_column_vanish(matrix, det, _alternates(n, det), _permutes_columns(matrix),
+                                        1, 2)
     assert result.passed is False
     assert result.witness == "determinant nonzero after identification"
 
 
 def test_equal_columns_identify_a_determinant_that_does_not_alternate():
     n = 3
-    matrix, real, certificate = symbolic(n)
-    assert certificate and verify_equal_column_vanish(matrix, real, certificate, 1, 3).passed
+    matrix, real, certificate, permutes = symbolic(n)
+    assert certificate and verify_equal_column_vanish(matrix, real, certificate, permutes,
+                                                      1, 3).passed
     u1, u2, u3 = variables(n)
     det = (u2 - u1) * u3
     assert _alternates(n, det) is False
-    results = [verify_equal_column_vanish(matrix, det, False, i, j) for i, j in [(1, 2), (1, 3), (2, 3)]]
+    results = [verify_equal_column_vanish(matrix, det, False, permutes, i, j)
+               for i, j in [(1, 2), (1, 3), (2, 3)]]
     assert [result.passed for result in results] == [True, False, False]
     assert results[0].witness == "u2:=u1 kills det, columns merge"
     assert {result.witness for result in results[1:]} == {
@@ -231,16 +245,123 @@ def test_equal_columns_fails_on_columns_that_differ():
     u3 = variables(n)[2]
     bad = with_entry(matrix, 2, 1, matrix.entry(2, 1) + u3)
     det = vandermonde_product(n)
-    result = verify_equal_column_vanish(bad, det, _alternates(n, det), 1, 2)
+    assert _permutes_columns(bad) is False
+    result = verify_equal_column_vanish(bad, det, _alternates(n, det), False, 1, 2)
     assert result.passed is False
     assert result.witness == "columns 1 and 2 differ after identification"
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_column_certificate_holds_on_every_ci_matrix(n):
+    assert _permutes_columns(symbolic_ci_matrix(n)) is True
+
+
+def test_the_column_certificate_reads_only_entries_of_the_matrix_arity():
+    # Constant entries in 2 variables pass both generators of S_2, but the
+    # size-3 identification u3 := u1 does not exist for them: it raises.
+    one = MultiPoly.one(2)
+    matrix = cimatrix.matrix.CIMatrix(3, (), ((one,) * 3,) * 3)
+    assert _permutes_columns(matrix) is False
+    with pytest.raises(ValueError, match="out of range"):
+        verify_equal_column_vanish(matrix, vandermonde_product(3), True, False, 1, 3)
+
+
+def copies():
+    """The size-4 CI-matrix intact, with one entry perturbed within its
+    degree, with columns 2 and 3 swapped and with one entry of the wrong
+    degree; and a matrix whose rows are all the cycle's orbit of
+    f = u2^2*u3 + u3^2*u4 + u4^2*u2, which passes u1 <-> u2 on columns 1
+    and 2 and the cycle, but whose columns 3 and 4 u1 <-> u2 moves."""
+    n = 4
+    matrix = symbolic_ci_matrix(n)
+    _, u2, u3, u4 = variables(n)
+    orbit = [u2 * u2 * u3 + u3 * u3 * u4 + u4 * u4 * u2]
+    while len(orbit) < n:
+        orbit.append(orbit[-1].cycle_variables())
+    return {
+        "intact": matrix,
+        "perturbed": with_entry(matrix, 3, 2, matrix.entry(3, 2) + u3),
+        "swapped": replace(matrix, entries=tuple(
+            (row[0], row[2], row[1]) + row[3:] for row in matrix.entries)),
+        "wrong-degree": with_entry(matrix, 2, 4, matrix.entry(2, 4) * u2),
+        "orbit": replace(matrix, entries=(tuple(orbit),) * n),
+    }
+
+
+COPIES = ["intact", "perturbed", "swapped", "wrong-degree", "orbit"]
+
+
+def identify_both(matrix, det, i, j):
+    """Reference verdict of equal-columns: identify u_j := u_i in ``det`` and
+    in both columns, reading no certificate."""
+    failures = []
+    if not det.identify_variables(i, j).is_zero:
+        failures.append("determinant nonzero after identification")
+    if ([entry.identify_variables(i, j) for entry in matrix.column(i)]
+            != [entry.identify_variables(i, j) for entry in matrix.column(j)]):
+        failures.append(f"columns {i} and {j} differ after identification")
+    witness = "; ".join(failures) or f"u{j}:=u{i} kills det, columns merge"
+    return CheckResult(f"equal-columns({i},{j})", not failures, witness)
+
+
+@pytest.mark.parametrize("name", COPIES)
+def test_equal_columns_give_the_identification_verdict_on_every_copy(name):
+    # With V as the determinant only the columns decide; a suite on each
+    # copy, below, pairs it with the copy's own expansion.
+    n = 4
+    matrix, det = copies()[name], vandermonde_product(n)
+    permutes = _permutes_columns(matrix)
+    assert permutes is (name == "intact")
+    results = {(i, j): verify_equal_column_vanish(matrix, det, True, permutes, i, j)
+               for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    assert results == {(i, j): identify_both(matrix, det, i, j) for i, j in results}
+    assert all(result.passed for result in results.values()) is (name == "intact")
+
+
+@pytest.mark.parametrize("name", COPIES)
+def test_first_node_zero_block_reads_the_identity_verdict_on_every_copy(name):
+    # Where D = V, (d) holds, so skipping it leaves every verdict as it was.
+    n = 4
+    matrix = copies()[name]
+    det = vandermonde_product(n)
+    assert (verify_first_node_zero_block(matrix, det, True)
+            == verify_first_node_zero_block(matrix, det, False))
+
+
+@pytest.mark.parametrize("name", COPIES)
+def test_a_suite_on_a_copy_gives_the_verdicts_of_the_uncertified_checks(name, monkeypatch):
+    # The suite reads the certificates of the matrix it built and of its
+    # expansion; fed a copy, it gives the verdicts of the computations they
+    # replace.
+    n = 4
+    matrix = copies()[name]
+    monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix", lambda size: matrix)
+    det = det_cofactor(matrix)
+    checks = {check.name: check for check in verify_suite(n).checks}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            assert checks[f"equal-columns({i},{j})"] == identify_both(matrix, det, i, j)
+    assert checks["first-node-zero-block"] == verify_first_node_zero_block(matrix, det, False)
+    assert checks["homogeneity"] == verify_homogeneity(n, det.total_degrees())
+    assert checks["determinant-identity"].passed is (name == "intact")
+    assert checks["homogeneity"].passed is (name not in ("wrong-degree", "orbit"))  # orbit: D = 0
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_first_node_zero_block_reads_the_identity_verdict_of_the_suite(n):
+    matrix, det, alternates, _ = symbolic(n)
+    identity, _ = verify_determinant_identity(n, det, alternates, det.total_degrees())
+    assert identity.passed
+    skipped = verify_first_node_zero_block(matrix, det, identity.passed)
+    assert skipped == verify_first_node_zero_block(matrix, det, False) and skipped.passed
 
 
 def test_determinant_identity_fails_on_a_zero_expansion():
     n = 3
     zero = MultiPoly.zero(n)
     assert _alternates(n, zero) and adjacent_swaps_alternate(n, zero)
-    result, constant = verify_determinant_identity(n, zero, _alternates(n, zero))
+    result, constant = verify_determinant_identity(n, zero, _alternates(n, zero),
+                                                   zero.total_degrees())
     assert result.passed is False
     assert result.witness == "determinant expanded to 0"
     assert constant is None
@@ -265,7 +386,7 @@ def assert_identity_matches_the_expansion(n, det):
     # gives the adjacent swaps' verdict.
     certificate = _alternates(det.nvars, det)
     assert certificate == adjacent_swaps_alternate(det.nvars, det)
-    result, constant = verify_determinant_identity(n, det, certificate)
+    result, constant = verify_determinant_identity(n, det, certificate, det.total_degrees())
     passed, expected = expand_and_compare(n, det)
     assert (result.passed, constant) == (passed, expected)
     assert result.witness == (f"constant={rational_to_string(expected)} "
@@ -378,9 +499,9 @@ def test_a_cold_suite_never_expands_the_vandermonde_product(monkeypatch):
 
 
 def test_first_node_zero_block_needs_size_two():
-    matrix, det, _ = symbolic(1)
+    matrix, det, _, _ = symbolic(1)
     with pytest.raises(ValueError):
-        verify_first_node_zero_block(matrix, det)
+        verify_first_node_zero_block(matrix, det, True)
 
 
 def test_duality_probe():
