@@ -26,7 +26,7 @@ import numpy as np
 
 from . import matrix as matrix_module
 from .matrix import (
-    COFACTOR_CAP,
+    SYMBOLIC_CAP,
     CIMatrix,
     NumericalError,
     SizeCapError,
@@ -280,11 +280,10 @@ def cmd_det(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
-    # Checked here as well as in det_cofactor, so a refused run expands nothing.
-    cap = min(args.cap, COFACTOR_CAP)
+    # Checked here as well as in symbolic_ci_matrix, so a refused run builds nothing.
+    cap = min(args.cap, SYMBOLIC_CAP)
     if args.max_n > cap:
-        raise SizeCapError(f"--max-n {args.max_n} exceeds cap {cap}: "
-                           f"the size-{args.max_n} determinant has {args.max_n}! terms")
+        raise SizeCapError(f"--max-n {args.max_n} exceeds cap {cap}")
     reports = [verify_suite(n) for n in range(1, args.max_n + 1)]
     if args.json:
         sys.stdout.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
@@ -309,10 +308,13 @@ def cmd_bench(args) -> int:
     if max(n_list) > BENCH_N_CAP:
         raise SizeCapError(f"--n-list size {max(n_list)} exceeds the bench cap {BENCH_N_CAP}")
     header, mismatches = BENCH_CSV_HEADER + "\n", []
-    for n in n_list:  # each size's rows go out as it ends: a size that fails later keeps them
-        records, found = run_bench([n], args.repeats, args.seed)
-        sys.stdout.write(header + "".join(record.csv_row() + "\n" for record in records))
-        header, mismatches = "", mismatches + found
+    try:
+        for n in n_list:  # each size's rows go out as it ends: a size that fails later keeps them
+            records, found = run_bench([n], args.repeats, args.seed)
+            sys.stdout.write(header + "".join(record.csv_row() + "\n" for record in records))
+            header, mismatches = "", mismatches + found
+    except NumericalError as exc:  # its one error line keeps the mismatches found before it
+        raise NumericalError("; ".join([str(exc)] + mismatches)) from None
     if mismatches:
         print("; ".join(mismatches), file=sys.stderr)
     return 3 if mismatches else 0
@@ -356,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the symbolic verification suite")
     verify.add_argument("--max-n", type=int, required=True, dest="max_n")
-    verify.add_argument("--cap", type=int, default=COFACTOR_CAP,
-                        help=f"largest size the symbolic expansion may attempt (at most {COFACTOR_CAP})")
+    verify.add_argument("--cap", type=int, default=SYMBOLIC_CAP,
+                        help=f"largest size to verify (at most {SYMBOLIC_CAP})")
     verify.add_argument("--json", action="store_true", help="machine-readable reports")
     verify.set_defaults(handler=cmd_verify)
 

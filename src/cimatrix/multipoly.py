@@ -52,7 +52,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import count, repeat
+from itertools import repeat
 from operator import add, mul, neg, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -220,14 +220,6 @@ class MultiPoly:
     def total_degrees(self) -> set[int]:
         """The set of total degrees present; empty for the zero polynomial."""
         return set(map(sum, self._rows()))
-
-    def leading_term(self) -> tuple[Monomial, Fraction]:
-        """Leading (monomial, coefficient) in canonical order; zero poly is an error."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        _, key, i = min(zip(map(neg, map(sum, self._rows())), self._terms, count()))
-        n = self.nvars
-        return self._exponents()[i * n : i * n + n], Fraction(self._terms[key])
 
     # -- arithmetic ----------------------------------------------------------
 

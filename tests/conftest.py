@@ -11,8 +11,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from cimatrix.scalars import rational_from_string, ring_identities
+import cimatrix.matrix
+from cimatrix.multipoly import MultiPoly, vandermonde_product, variables
+from cimatrix.scalars import rational_from_string, rational_to_string, ring_identities
 from cimatrix.symfunc import elem_sym_all
+from cimatrix.verifier import CheckResult, verify_first_node_zero_block
 
 GOLDEN_N4_ENTRIES = [
     ["u2*u3*u4", "u1*u3*u4", "u1*u2*u4", "u1*u2*u3"],
@@ -103,3 +106,66 @@ def ring_axiom_failures(samples) -> list[str]:
         if not (a * (b + c) == a * b + a * c):
             failures.append(f"distributivity fails at ({a!r}, {b!r}, {c!r})")
     return failures
+
+
+# ---------------------------------------------------------------------------
+# references for the symbolic checks: the n!-term expansion and identification
+
+
+def identify_both(matrix, det, i, j):
+    """Reference verdict of equal-columns: identify u_j := u_i in ``det`` and
+    in both columns of ``matrix``, reading no certificate."""
+    failures = []
+    if not det.identify_variables(i, j).is_zero:
+        failures.append("determinant nonzero after identification")
+    if ([entry.identify_variables(i, j) for entry in matrix.column(i)]
+            != [entry.identify_variables(i, j) for entry in matrix.column(j)]):
+        failures.append(f"columns {i} and {j} differ after identification")
+    witness = "; ".join(failures) or f"u{j}:=u{i} kills det, columns merge"
+    return CheckResult(f"equal-columns({i},{j})", not failures, witness)
+
+
+def multiple_of_v(n, det):
+    """The constant c with ``det`` = c*V over u1..un, or None if there is none."""
+    v = vandermonde_product(n)
+    c = det.terms.get(tuple(range(n)), Fraction(0)) if det.nvars == n else None
+    return c if c is not None and det == v * c else None
+
+
+def reference_checks(matrix):
+    """The verdicts of the checks that read the determinant, computed from the
+    n!-term expansion of ``matrix`` (``det_cofactor``, looked up at each call)
+    and from identification: the reference the verifier's proof is held to."""
+    n = matrix.n
+    det = cimatrix.matrix.det_cofactor(matrix)
+    c, degrees, expected = multiple_of_v(n, det), det.total_degrees(), n * (n - 1) // 2
+    checks = [
+        CheckResult("determinant-identity", det == vandermonde_product(n),
+                    "not a multiple of V" if c is None else
+                    f"constant={rational_to_string(c)} difference={'0' if c == 1 else 'nonzero'}"),
+        CheckResult("homogeneity", degrees == {expected},
+                    f"degree set {sorted(degrees)} expected {[expected]}"),
+    ]
+    checks += [identify_both(matrix, det, i, j)
+               for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if n >= 2:
+        checks.append(reference_first_node(matrix, det))
+    return {check.name: check for check in checks}
+
+
+def reference_first_node(matrix, det):
+    """first-node-zero-block with check (d) computed: ``det`` with u1 := 0
+    against (u2*...*un) times the pairwise-difference product of u2..un
+    (``det_closed_form``, looked up at each call).  Checks (a)-(c) read the
+    matrix alone and are the verifier's own."""
+    n = matrix.n
+    matrix_only = verify_first_node_zero_block(matrix, True, Fraction(1))
+    failures = [] if matrix_only.passed else matrix_only.witness.split("; ")
+    tail = variables(n)[1:]
+    prefactor = MultiPoly.one(n)
+    for u in tail:
+        prefactor = prefactor * u
+    if det.substitute(1, 0) != prefactor * cimatrix.matrix.det_closed_form(tail):
+        failures.append("determinant does not factor through the trailing block")
+    return CheckResult("first-node-zero-block", not failures,
+                       "; ".join(failures) or matrix_only.witness)

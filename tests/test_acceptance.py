@@ -9,7 +9,13 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from conftest import GOLDEN_N4_ENTRIES, pretty_layout, random_distinct_fractions
+from conftest import (
+    GOLDEN_N4_ENTRIES,
+    identify_both,
+    pretty_layout,
+    random_distinct_fractions,
+    reference_first_node,
+)
 from cimatrix.cli import MatrixDocument, draw_bench_nodes, run_bench
 from cimatrix.matrix import (
     build_ci_matrix,
@@ -22,15 +28,7 @@ from cimatrix.matrix import (
     vandermonde_duality_residual,
 )
 from cimatrix.multipoly import vandermonde_product
-from cimatrix.verifier import (
-    _alternates,
-    _permutes_columns,
-    verify_determinant_identity,
-    verify_equal_column_vanish,
-    verify_first_node_zero_block,
-    verify_homogeneity,
-    verify_row_degrees,
-)
+from cimatrix.verifier import _permutes_columns, verify_row_degrees, verify_suite
 
 
 def _report(number: int, text: str) -> None:
@@ -46,9 +44,10 @@ def test_criterion_1_symbolic_determinant_identity():
         assert det.terms == product.terms
         assert len(det.terms) == factorial(n)
         assert all(abs(c) == 1 for c in det.terms.values())
-        check, constant = verify_determinant_identity(n, det, _alternates(n, det),
-                                                      det.total_degrees())
-        assert check.passed and constant == Fraction(1)
+        # The suite proves the identity without the expansion; the expansion
+        # above is the independent cross-check.
+        report = verify_suite(n)
+        assert report.checks[0].passed and report.extracted_constant == Fraction(1)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"symbolic identity check took {elapsed:.1f}s"
     _report(1, f"det == product with constant 1 for n=1..6 in {elapsed:.2f}s")
@@ -72,18 +71,19 @@ def test_criterion_2_exact_oracle_equivalence():
 def test_criterion_3_proof_step_suite():
     for n in range(1, 7):
         matrix = symbolic_ci_matrix(n)
-        det = det_cofactor(matrix)
-        alternates = _alternates(n, det)
+        assert verify_suite(n).passed
         assert _permutes_columns(matrix)
-        assert verify_homogeneity(n, det.total_degrees()).passed
         assert verify_row_degrees(matrix).passed
-        # The columns are identified, and the first-node factorization
-        # computed, without the certificates that settle them in the suite.
+        # The suite's proof reads the column certificate and the point value;
+        # here the expansion is checked for homogeneity, identified for every
+        # column pair, and factored after u1 := 0, reading neither.
+        det = det_cofactor(matrix)
+        assert det.total_degrees() == {n * (n - 1) // 2}
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                assert verify_equal_column_vanish(matrix, det, alternates, False, i, j).passed
+                assert identify_both(matrix, det, i, j).passed
         if n >= 2:
-            assert verify_first_node_zero_block(matrix, det, False).passed
+            assert reference_first_node(matrix, det).passed
     _report(3, "homogeneity, row degrees, equal-node vanishing, first-node block for n=1..6")
 
 

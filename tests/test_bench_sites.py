@@ -18,6 +18,7 @@ import cimatrix
 import cimatrix.cli
 import cimatrix.multipoly
 import cimatrix.verifier
+from conftest import reference_checks
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -98,8 +99,8 @@ def test_a_traced_exact_request_reaches_every_layer(capsys):
 SYMBOLIC_LAYERS = (
     "cli.main",
     "matrix.symbolic_ci_matrix",
-    "matrix.det_cofactor",
     "matrix.build_ci_matrix",
+    "matrix.det_closed_form",
     "multipoly.MultiPoly.mul",
     "multipoly.MultiPoly.substitute",
     "verifier.determinant_identity",
@@ -122,39 +123,39 @@ def test_a_traced_verify_request_reaches_every_layer(capsys):
     capsys.readouterr()
     reached = {record[0] for record in tracer.spans}
     assert [layer for layer in SYMBOLIC_LAYERS if layer not in reached] == []
-    assert tracer.counts[0]["multipoly.det_terms.n7"] == 5040
-    for restored in (cimatrix.cli.main, cimatrix.verifier.det_cofactor,
+    # The suite proves each size from the matrix: the n!-term expansion, and
+    # the term count taken from it, are never reached.
+    assert "matrix.det_cofactor" not in reached
+    assert "multipoly.det_terms.n7" not in tracer.counts.get(0, {})
+    for restored in (cimatrix.cli.main, cimatrix.matrix.det_cofactor,
+                     cimatrix.verifier.det_closed_form,
                      cimatrix.multipoly.MultiPoly.identify_variables):
         assert not hasattr(restored, "__wrapped__")
 
 
-def test_a_traced_fallback_reaches_the_identification_and_the_closed_form():
-    # The served request's certificates settle the column merges and the
-    # factorization, so only a check that falls back reaches these layers:
-    # equal-columns on a perturbed matrix, and first-node-zero-block on a
-    # determinant that is not V.
+def test_a_traced_reference_reaches_the_identification_and_the_closed_form():
+    # No verifier path identifies variables or factors an expansion any more;
+    # the test-side reference checks do both, through the traced call sites:
+    # they expand a perturbed matrix, identify every column pair and compare
+    # the first-node factorization.
     n = 4
     matrix = cimatrix.matrix.symbolic_ci_matrix(n)
     rows = [list(row) for row in matrix.entries]
     rows[2][1] = rows[2][1] + cimatrix.multipoly.variables(n)[2]
     perturbed = cimatrix.matrix.CIMatrix(n, matrix.nodes, tuple(map(tuple, rows)))
-    det = cimatrix.multipoly.vandermonde_product(n) * 2
     tracer = _spans.Tracer()
     tracer.request = 0
     saved = _spans.install(tracer)
     try:
-        # Looked up on ``cimatrix.verifier`` after the rebinding.
-        verifier = cimatrix.verifier
-        assert verifier._permutes_columns(perturbed) is False
-        merged = verifier.verify_equal_column_vanish(perturbed, det, True, False, 1, 2)
-        factored = verifier.verify_first_node_zero_block(matrix, det, identity=False)
+        checks = reference_checks(perturbed)
     finally:
         _spans.restore(saved)
-    assert merged.witness == "columns 1 and 2 differ after identification"
-    assert factored.witness == "determinant does not factor through the trailing block"
+    assert checks["equal-columns(1,2)"].witness == (
+        "determinant nonzero after identification; columns 1 and 2 differ after identification")
     reached = {record[0] for record in tracer.spans}
-    assert {"multipoly.MultiPoly.identify_variables", "matrix.det_closed_form"} <= reached
-    for restored in (cimatrix.verifier.det_closed_form,
+    assert {"multipoly.MultiPoly.identify_variables", "matrix.det_closed_form",
+            "matrix.det_cofactor"} <= reached
+    for restored in (cimatrix.matrix.det_closed_form, cimatrix.matrix.det_cofactor,
                      cimatrix.multipoly.MultiPoly.identify_variables):
         assert not hasattr(restored, "__wrapped__")
 

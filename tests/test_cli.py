@@ -14,7 +14,7 @@ from cli_corpus import run
 from conftest import GOLDEN_N4_ENTRIES, pretty_layout, read_gen_json
 from cimatrix.cli import BENCH_CSV_HEADER, build_parser, draw_bench_nodes, main, run_bench
 from cimatrix.matrix import (
-    COFACTOR_CAP, SYMBOLIC_CAP, build_ci_matrix, det_closed_form, det_lu, symbolic_ci_matrix,
+    SYMBOLIC_CAP, build_ci_matrix, det_closed_form, det_lu, symbolic_ci_matrix,
 )
 from cimatrix.scalars import float_to_string, rational_from_string
 
@@ -394,13 +394,19 @@ def test_verify_json(capsys):
 
 
 def test_verify_cap_guard(capsys):
-    code, _, err = run_cli(capsys, "verify", "--max-n", "99")
-    assert code == 2
-    assert "cap" in err
-    # --cap defaults to the cofactor cap and may only lower it.
-    assert build_parser().parse_args(["verify", "--max-n", "1"]).cap == COFACTOR_CAP
+    assert run_cli(capsys, "verify", "--max-n", "99") == (2, "", "error: --max-n 99 exceeds cap 12\n")
+    # --cap defaults to the symbolic build's cap and may only lower it.
+    assert build_parser().parse_args(["verify", "--max-n", "1"]).cap == SYMBOLIC_CAP
     assert run_cli(capsys, "verify", "--max-n", "3", "--cap", "2") == (
-        2, "", "error: --max-n 3 exceeds cap 2: the size-3 determinant has 3! terms\n")
+        2, "", "error: --max-n 3 exceeds cap 2\n")
+
+
+def test_verify_proves_every_size_up_to_the_cap(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-n", str(SYMBOLIC_CAP), "--json")
+    assert (code, err) == (0, "")
+    reports = json.loads(out)
+    assert [r["n"] for r in reports] == list(range(1, SYMBOLIC_CAP + 1))
+    assert all(r["passed"] and r["extracted_constant"] == "1" for r in reports)
 
 
 def test_verify_refuses_sizes_above_its_ceiling_before_expanding(capsys, monkeypatch):
@@ -408,10 +414,10 @@ def test_verify_refuses_sizes_above_its_ceiling_before_expanding(capsys, monkeyp
         raise AssertionError(f"expanded size {n}")
 
     monkeypatch.setattr("cimatrix.cli.verify_suite", expanding_suite)
-    for argv in (["--max-n", "10", "--cap", "10"], ["--max-n", "10"]):
+    for argv in (["--max-n", "13", "--cap", "13"], ["--max-n", "13"]):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (2, "")
-        assert err == "error: --max-n 10 exceeds cap 9: the size-10 determinant has 10! terms\n"
+        assert err == "error: --max-n 13 exceeds cap 12\n"
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
@@ -462,6 +468,19 @@ def test_bench_usage_errors(capsys):
     assert run_cli(capsys, "bench", "--n-list", "4,x")[0] == 2
     assert run_cli(capsys, "bench", "--n-list", "4", "--repeats", "0")[0] == 2
     assert run_cli(capsys, "bench", "--n-list", "4", "--out", "csv")[0] == 2
+
+
+def test_bench_keeps_the_mismatches_before_a_failed_build(capsys):
+    # n=24 writes its rows with digests that differ; n=320 then fails to
+    # build.  The one error line names the failure and the n=24 mismatch.
+    _, mismatches = run_bench([24], 1, 0)
+    assert len(mismatches) == 1
+    code, out, err = run_cli(capsys, "bench", "--n-list=24,320", "--repeats", "1")
+    assert code == 3
+    assert [line.split(",")[:2] for line in out.splitlines()] == [
+        BENCH_CSV_HEADER.split(",")[:2], ["24", "closed_form"], ["24", "lu"]]
+    assert err == ("error: numerical failure in float CI-matrix build: an entry is not finite; "
+                   f"{mismatches[0]}\n")
 
 
 def test_draw_bench_nodes_reproducible_and_separated():
@@ -619,11 +638,11 @@ SIZES = st.integers(-2, 14)
 
 @given(SIZES, st.none() | SIZES, SIZES)
 @example(7, None, 8)  # the largest runs the property lets succeed
-@example(10, None, 13)  # one above each cap
+@example(13, None, 13)  # one above the cap
 @example(9, 8, 0)
 @example(-2, -2, -2)
 def test_verify_and_gen_sizes_end_in_reports_or_one_error_line(max_n, cap, n):
-    ceiling = COFACTOR_CAP if cap is None else min(cap, COFACTOR_CAP)
+    ceiling = SYMBOLIC_CAP if cap is None else min(cap, SYMBOLIC_CAP)
     # Runs that succeed stay at max_n <= 7 and n <= 8, so the property takes seconds.
     assume(max_n <= 7 or max_n > ceiling)
     assume(n <= 8 or n > SYMBOLIC_CAP)
@@ -679,6 +698,7 @@ def _bench_refusal(sizes: list[str], repeats: int, seed: int) -> str | None:
        st.one_of(st.integers(-2, 9), st.integers(2**32, 2**70)))
 @example(["24", "16"], 1, 0)  # the LU digest diverges at both sizes
 @example(["4", "320"], 1, 0)  # the float build overflows at n=320
+@example(["24", "320"], 1, 0)  # the LU digest diverges before the overflow
 @example(["320", "1025"], 1, 0)
 @example(["", "x"], 0, -1)
 def test_bench_sizes_end_in_a_csv_or_one_error_line(sizes, repeats, seed):
@@ -705,11 +725,15 @@ def test_bench_sizes_end_in_a_csv_or_one_error_line(sizes, repeats, seed):
     rows = [line.split(",") for line in lines[1:]]
     assert [(int(r[0]), r[1], int(r[3])) for r in rows] == [
         (n, method, repeats) for n in done for method in ("closed_form", "lu")]
+    diverged = [int(a[0]) for a, b in zip(rows[::2], rows[1::2]) if a[4] != b[4]]
     if done != n_list:
-        assert code == 3
-        assert err == "error: numerical failure in float CI-matrix build: an entry is not finite\n"
+        # One line: the failed build, then each mismatch found before it.
+        assert code == 3 and err.endswith("\n") and err.count("\n") == 1
+        failure, *found = err.removesuffix("\n").split("; ")
+        assert failure == "error: numerical failure in float CI-matrix build: an entry is not finite"
+        assert [int(part.split(":")[0].removeprefix("n=")) for part in found] == diverged
         return
-    diverged = sorted({int(a[0]) for a, b in zip(rows[::2], rows[1::2]) if a[4] != b[4]})
+    diverged = sorted(set(diverged))
     if not diverged:
         assert (code, err) == (0, "")
     else:

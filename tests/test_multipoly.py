@@ -211,13 +211,6 @@ def test_render_golden():
     assert (U2 - U1).render() == "u2 - u1"
 
 
-def test_leading_term():
-    monomial, coeff = (U2 - U1).leading_term()
-    assert monomial == (0, 1, 0) and coeff == 1
-    with pytest.raises(ValueError):
-        MultiPoly.zero(2).leading_term()
-
-
 simple_polys = st.builds(
     lambda terms: MultiPoly(3, terms),
     st.dictionaries(
@@ -456,7 +449,6 @@ def answer(query, p: MultiPoly):
 def table_queries(nvars: int) -> list:
     queries = [
         lambda p: p.total_degrees(),
-        lambda p: p.leading_term(),
         lambda p: p.terms,
         lambda p: p.render(),
     ]
@@ -499,6 +491,5 @@ def test_constant_in_zero_variables():
     p = MultiPoly(0, {(): 5})
     assert p.total_degrees() == {0}
     assert p.terms == {(): 5}
-    assert p.leading_term() == ((), 5)
     assert p.render() == "5"
     assert MultiPoly(0).total_degrees() == set() and MultiPoly(0).terms == {}

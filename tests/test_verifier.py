@@ -1,21 +1,20 @@
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cimatrix.cli
 import cimatrix.matrix
 import cimatrix.verifier
+from conftest import identify_both, multiple_of_v, reference_checks, reference_first_node
 from cimatrix.matrix import SizeCapError, det_cofactor, symbolic_ci_matrix
 from cimatrix.multipoly import MultiPoly, vandermonde_product, variables
-from cimatrix.scalars import rational_to_string
+from cimatrix.symfunc import elem_sym_all
 from cimatrix.verifier import (
-    CheckResult,
-    _alternates,
     _permutes_columns,
     verify_determinant_identity,
     verify_duality_probe,
@@ -27,37 +26,36 @@ from cimatrix.verifier import (
 )
 
 
-def symbolic(n):
-    """The size-n symbolic matrix, its expansion, that expansion's alternation
-    certificate and the matrix's column certificate, as ``verify_suite``
-    forms them."""
-    matrix = symbolic_ci_matrix(n)
-    det = det_cofactor(matrix)
-    return matrix, det, _alternates(n, det), _permutes_columns(matrix)
+def suite_on(matrix):
+    """``verify_suite`` at the size of ``matrix``, fed ``matrix`` in place of
+    the symbolic CI-matrix it builds; its checks by name, and its report."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cimatrix.verifier, "symbolic_ci_matrix", lambda size: matrix)
+        report = verify_suite(matrix.n)
+    return {check.name: check for check in report.checks}, report
 
 
 @pytest.mark.parametrize("n,degree", [(2, 1), (3, 3), (4, 6)])
 def test_homogeneity(n, degree):
-    det = symbolic(n)[1]
-    result = verify_homogeneity(n, det.total_degrees())
+    result = verify_homogeneity(n, True, verify_suite(n).extracted_constant)
     assert result.passed
     assert str(degree) in result.witness
+    assert det_cofactor(symbolic_ci_matrix(n)).total_degrees() == {degree}
 
 
 def test_suite_cap(monkeypatch):
-    # The suite keeps no cap: the kernels refuse size 0 before any build, and
-    # size 10 after its build but before any minor of the expansion.
-    builds, minors = [], []
+    # The suite keeps no cap: the symbolic build refuses size 0 and size 13
+    # before it builds anything.
+    builds = []
     build = cimatrix.matrix.build_ci_matrix
     monkeypatch.setattr(cimatrix.matrix, "build_ci_matrix",
                         lambda nodes: builds.append(len(nodes)) or build(nodes))
-    monkeypatch.setattr(cimatrix.matrix, "_subset_minors", lambda *args: minors.append(args))
     with pytest.raises(ValueError) as refused:
         verify_suite(0)
     assert not isinstance(refused.value, SizeCapError) and builds == []
-    with pytest.raises(SizeCapError, match="cofactor expansion capped at size 9, got 10"):
-        verify_suite(10)
-    assert builds == [10] and minors == []
+    with pytest.raises(SizeCapError, match="symbolic CI-matrix capped at size 12, got 13"):
+        verify_suite(13)
+    assert builds == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -67,23 +65,22 @@ def test_row_degrees(n):
 
 @pytest.mark.parametrize("n,i,j", [(2, 1, 2), (3, 1, 3), (4, 2, 3)])
 def test_equal_column_vanish(n, i, j):
-    assert verify_equal_column_vanish(*symbolic(n), i, j).passed
+    assert verify_equal_column_vanish(n, _permutes_columns(symbolic_ci_matrix(n)), i, j).passed
 
 
 def test_equal_column_vanish_validates_indices():
-    inputs = symbolic(3)
     with pytest.raises(ValueError):
-        verify_equal_column_vanish(*inputs, 2, 2)
+        verify_equal_column_vanish(3, True, 2, 2)
     with pytest.raises(ValueError):
-        verify_equal_column_vanish(*inputs, 0, 2)
+        verify_equal_column_vanish(3, True, 0, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_determinant_identity(n):
-    _, det, alternates, _ = symbolic(n)
-    result, constant = verify_determinant_identity(n, det, alternates, det.total_degrees())
-    assert result.passed
-    assert constant == Fraction(1)
+    report = verify_suite(n)
+    result = verify_determinant_identity(True, report.extracted_constant)
+    assert result.passed and result == report.checks[0]
+    assert report.extracted_constant == Fraction(1)
 
 
 def test_determinant_identity_n5_term_count():
@@ -99,7 +96,7 @@ def test_first_node_zero_block_size2():
     assert substituted[0] == [u2, MultiPoly.zero(2)]
     assert substituted[1] == [MultiPoly.one(2), MultiPoly.one(2)]
     assert det_cofactor(substituted) == u2
-    assert verify_first_node_zero_block(*symbolic(2)[:2], False).passed
+    assert verify_first_node_zero_block(matrix, True, Fraction(1)).passed
 
 
 def test_first_node_zero_block_size3():
@@ -109,11 +106,11 @@ def test_first_node_zero_block_size3():
     assert substituted[0][0] == u2 * u3
     assert substituted[0][1].is_zero and substituted[0][2].is_zero
     assert det_cofactor(substituted) == u2 * u3 * (u3 - u2)
-    assert verify_first_node_zero_block(*symbolic(3)[:2], False).passed
+    assert verify_first_node_zero_block(matrix, True, Fraction(1)).passed
 
 
 def test_first_node_zero_block_size4():
-    assert verify_first_node_zero_block(*symbolic(4)[:2], False).passed
+    assert verify_first_node_zero_block(symbolic_ci_matrix(4), True, Fraction(1)).passed
 
 
 def with_entry(matrix, h, k, value):
@@ -122,39 +119,39 @@ def with_entry(matrix, h, k, value):
     return replace(matrix, entries=tuple(tuple(row) for row in rows))
 
 
+def with_rows(matrix, rows):
+    return replace(matrix, entries=tuple(tuple(row) for row in rows))
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_suite_expands_each_size_once(n, monkeypatch):
-    # One build, one expansion and one alternation certificate (the swap
-    # u1 <-> u2 and the cycle on the n!-term expansion, none at n=1): nothing
-    # a check reads is formed twice.  The column certificate moves each of
+    # One build and one determinant per size, and that determinant is the
+    # Bareiss one of the matrix evaluated at (1, ..., n): the n!-term
+    # cofactor expansion never runs.  The column certificate moves each of
     # the n^2 entries once by the cycle, and each outside column 2 once by
     # the swap (none at n=1): the swap is an involution.
-    builds, expansions, det_moves, entry_moves = [], [], [], []
-    build, expand = cimatrix.verifier.symbolic_ci_matrix, cimatrix.verifier.det_cofactor
+    builds, expansions, evaluations, moves = [], [], [], []
+    build, bareiss = cimatrix.verifier.symbolic_ci_matrix, cimatrix.verifier.det_bareiss
     swap, cycle = MultiPoly.swap_variables, MultiPoly.cycle_variables
-
-    def moved(p, move):
-        (det_moves if expansions and p is expansions[0] else entry_moves).append(move)
-
     monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix",
                         lambda size: builds.append(size) or build(size))
-    monkeypatch.setattr(cimatrix.verifier, "det_cofactor",
-                        lambda matrix: expansions.append(expand(matrix)) or expansions[-1])
+    monkeypatch.setattr(cimatrix.matrix, "det_cofactor", lambda matrix: expansions.append(matrix))
+    monkeypatch.setattr(cimatrix.verifier, "det_bareiss",
+                        lambda rows: evaluations.append(rows) or bareiss(rows))
     monkeypatch.setattr(MultiPoly, "swap_variables",
-                        lambda p, a, b: moved(p, (a, b)) or swap(p, a, b))
-    monkeypatch.setattr(MultiPoly, "cycle_variables",
-                        lambda p: moved(p, "cycle") or cycle(p))
+                        lambda p, a, b: moves.append((a, b)) or swap(p, a, b))
+    monkeypatch.setattr(MultiPoly, "cycle_variables", lambda p: moves.append("cycle") or cycle(p))
+    assert not hasattr(cimatrix.verifier, "det_cofactor")
     assert verify_suite(n).passed
-    assert builds == [n]
-    assert [det.nvars for det in expansions] == [n]
-    assert len(expansions[0].terms) == factorial(n)
-    assert det_moves == ([(1, 2), "cycle"] if n >= 2 else [])
-    assert sorted(entry_moves, key=str) == [(1, 2)] * n * (n - 1) + ["cycle"] * n * n
+    assert builds == [n] and expansions == []
+    assert evaluations == [[[e.evaluate(range(1, n + 1)) for e in row]
+                            for row in symbolic_ci_matrix(n).entries]]
+    assert sorted(moves, key=str) == [(1, 2)] * n * (n - 1) + ["cycle"] * n * n
 
 
 def test_a_ci_matrix_suite_at_n7_identifies_nothing(monkeypatch):
-    # The alternation certificate settles every determinant half and the
-    # column certificate every column half at n=7: nothing is identified.
+    # The column certificate settles every merge at n=7: nothing is
+    # identified.
     identified = []
     identify = MultiPoly.identify_variables
     monkeypatch.setattr(MultiPoly, "identify_variables",
@@ -169,7 +166,7 @@ def test_first_node_zero_block_fails_on_a_wrong_trailing_block():
     matrix = symbolic_ci_matrix(n)
     u3 = variables(n)[2]
     bad = with_entry(matrix, 3, 2, matrix.entry(3, 2) + u3)
-    result = verify_first_node_zero_block(bad, vandermonde_product(n), False)
+    result = verify_first_node_zero_block(bad, True, Fraction(1))
     assert not result.passed
     assert result.witness == "trailing block is not the CI-matrix of the remaining nodes"
 
@@ -179,18 +176,23 @@ def test_first_node_zero_block_fails_on_a_wrong_corner():
     matrix = symbolic_ci_matrix(n)
     u2 = variables(n)[1]
     bad = with_entry(matrix, 1, 1, matrix.entry(1, 1) + u2)
-    result = verify_first_node_zero_block(bad, vandermonde_product(n), False)
+    result = verify_first_node_zero_block(bad, True, Fraction(1))
     assert not result.passed
     assert result.witness == "(1,1) entry is not the product of the remaining nodes"
 
 
 def test_first_node_zero_block_fails_on_a_wrong_determinant():
-    n = 4
-    _, u2, u3, _ = variables(n)
-    det = vandermonde_product(n) + u2 * u3
-    result = verify_first_node_zero_block(symbolic_ci_matrix(n), det, identity=False)
+    # Row 1 doubled keeps steps (a) and (b), so the proof reads D = 2V, and
+    # 2V does not factor as (u2*...*un) * V(u2..un).
+    matrix = copies()["doubled"]
+    checks, report = suite_on(matrix)
+    assert report.extracted_constant == 2
+    result = verify_first_node_zero_block(matrix, True, report.extracted_constant)
+    assert result == checks["first-node-zero-block"]
     assert not result.passed
-    assert result.witness == "determinant does not factor through the trailing block"
+    assert result.witness == ("(1,1) entry is not the product of the remaining nodes; "
+                              "determinant does not factor through the trailing block")
+    assert result == reference_first_node(matrix, det_cofactor(matrix))
 
 
 def test_first_node_zero_block_fails_on_a_nonzero_trailing_entry():
@@ -198,9 +200,17 @@ def test_first_node_zero_block_fails_on_a_nonzero_trailing_entry():
     matrix = symbolic_ci_matrix(n)
     _, u2, u3, _ = variables(n)
     bad = with_entry(matrix, 1, 2, matrix.entry(1, 2) + u2 * u3)
-    result = verify_first_node_zero_block(bad, vandermonde_product(n), False)
+    result = verify_first_node_zero_block(bad, True, Fraction(1))
     assert result.passed is False
     assert result.witness == "first row has a nonzero trailing entry"
+
+
+def test_first_node_zero_block_names_the_step_it_could_not_read():
+    matrix = symbolic_ci_matrix(3)
+    for permutes, step in [(False, "column certificate fails"), (True, "row degrees fail")]:
+        result = verify_first_node_zero_block(matrix, permutes, None)
+        assert result.passed is False
+        assert result.witness == f"factorization unproven: {step}"
 
 
 def test_row_degrees_names_an_inhomogeneous_entry():
@@ -213,30 +223,35 @@ def test_row_degrees_names_an_inhomogeneous_entry():
 
 
 def test_equal_columns_fails_on_a_determinant_that_survives():
+    # The bottom row (2, 1, 1) leaves a determinant that u2 := u1 keeps; the
+    # column certificate fails, so equal-columns fails and names it.
     n = 3
-    u1 = variables(n)[0]
-    det = vandermonde_product(n) + u1
-    matrix = symbolic_ci_matrix(n)
-    result = verify_equal_column_vanish(matrix, det, _alternates(n, det), _permutes_columns(matrix),
-                                        1, 2)
+    matrix = with_entry(symbolic_ci_matrix(n), 3, 1, MultiPoly.constant(n, 2))
+    assert not det_cofactor(matrix).identify_variables(1, 2).is_zero
+    assert _permutes_columns(matrix) is False
+    result = verify_equal_column_vanish(n, False, 1, 2)
     assert result.passed is False
-    assert result.witness == "determinant nonzero after identification"
+    assert result.witness == "unproven: column certificate fails"
+    assert checks_of(matrix)["equal-columns(1,2)"] == result
 
 
-def test_equal_columns_identify_a_determinant_that_does_not_alternate():
+def test_equal_columns_fail_on_a_determinant_that_does_not_alternate():
+    # diag(u3, u2 - u1, 1) has determinant (u2 - u1) * u3: u2 := u1 kills it,
+    # u3 := u1 and u3 := u2 do not.  The certificate fails, so every pair
+    # fails and names it.
     n = 3
-    matrix, real, certificate, permutes = symbolic(n)
-    assert certificate and verify_equal_column_vanish(matrix, real, certificate, permutes,
-                                                      1, 3).passed
     u1, u2, u3 = variables(n)
-    det = (u2 - u1) * u3
-    assert _alternates(n, det) is False
-    results = [verify_equal_column_vanish(matrix, det, False, permutes, i, j)
-               for i, j in [(1, 2), (1, 3), (2, 3)]]
-    assert [result.passed for result in results] == [True, False, False]
-    assert results[0].witness == "u2:=u1 kills det, columns merge"
-    assert {result.witness for result in results[1:]} == {
-        "determinant nonzero after identification"}
+    zero, one = MultiPoly.zero(n), MultiPoly.one(n)
+    matrix = replace(symbolic_ci_matrix(n), entries=(
+        (u3, zero, zero), (zero, u2 - u1, zero), (zero, zero, one)))
+    det = det_cofactor(matrix)
+    assert det == (u2 - u1) * u3
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    assert [identify_both(matrix, det, i, j).passed for i, j in pairs] == [False] * 3
+    assert [det.identify_variables(i, j).is_zero for i, j in pairs] == [True, False, False]
+    checks = checks_of(matrix)
+    assert {checks[f"equal-columns({i},{j})"].witness for i, j in pairs} == {
+        "unproven: column certificate fails"}
 
 
 def test_equal_columns_fails_on_columns_that_differ():
@@ -244,11 +259,12 @@ def test_equal_columns_fails_on_columns_that_differ():
     matrix = symbolic_ci_matrix(n)
     u3 = variables(n)[2]
     bad = with_entry(matrix, 2, 1, matrix.entry(2, 1) + u3)
-    det = vandermonde_product(n)
     assert _permutes_columns(bad) is False
-    result = verify_equal_column_vanish(bad, det, _alternates(n, det), False, 1, 2)
+    assert identify_both(bad, vandermonde_product(n), 1, 2).witness == (
+        "columns 1 and 2 differ after identification")
+    result = verify_equal_column_vanish(n, _permutes_columns(bad), 1, 2)
     assert result.passed is False
-    assert result.witness == "columns 1 and 2 differ after identification"
+    assert result.witness == "unproven: column certificate fails"
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -258,26 +274,33 @@ def test_the_column_certificate_holds_on_every_ci_matrix(n):
 
 def test_the_column_certificate_reads_only_entries_of_the_matrix_arity():
     # Constant entries in 2 variables pass both generators of S_2, but the
-    # size-3 identification u3 := u1 does not exist for them: it raises.
+    # size-3 identification u3 := u1 does not exist for them: it raises, and
+    # the certificate fails.
     one = MultiPoly.one(2)
     matrix = cimatrix.matrix.CIMatrix(3, (), ((one,) * 3,) * 3)
     assert _permutes_columns(matrix) is False
     with pytest.raises(ValueError, match="out of range"):
-        verify_equal_column_vanish(matrix, vandermonde_product(3), True, False, 1, 3)
+        identify_both(matrix, vandermonde_product(3), 1, 3)
+    assert verify_equal_column_vanish(3, False, 1, 3).witness == "unproven: column certificate fails"
 
 
 def copies():
     """The size-4 CI-matrix intact, with one entry perturbed within its
     degree, with columns 2 and 3 swapped and with one entry of the wrong
-    degree; and a matrix whose rows are all the cycle's orbit of
+    degree; a matrix whose rows are all the cycle's orbit of
     f = u2^2*u3 + u3^2*u4 + u4^2*u2, which passes u1 <-> u2 on columns 1
-    and 2 and the cycle, but whose columns 3 and 4 u1 <-> u2 moves."""
+    and 2 and the cycle, but whose columns 3 and 4 u1 <-> u2 moves; and
+    three copies that keep the column certificate: row 1 doubled (D = 2V),
+    row 3 set to e1 times row 4 (D = 0), and row 1 times e1, which leaves
+    row 1 of degree 4 (D = e1*V)."""
     n = 4
     matrix = symbolic_ci_matrix(n)
     _, u2, u3, u4 = variables(n)
+    e1 = elem_sym_all(variables(n))[1]
     orbit = [u2 * u2 * u3 + u3 * u3 * u4 + u4 * u4 * u2]
     while len(orbit) < n:
         orbit.append(orbit[-1].cycle_variables())
+    rows = matrix.entries
     return {
         "intact": matrix,
         "perturbed": with_entry(matrix, 3, 2, matrix.entry(3, 2) + u3),
@@ -285,208 +308,265 @@ def copies():
             (row[0], row[2], row[1]) + row[3:] for row in matrix.entries)),
         "wrong-degree": with_entry(matrix, 2, 4, matrix.entry(2, 4) * u2),
         "orbit": replace(matrix, entries=(tuple(orbit),) * n),
+        "doubled": with_rows(matrix, [[x * 2 for x in rows[0]]] + list(rows[1:])),
+        "singular": with_rows(matrix, list(rows[:2]) + [[e1 * x for x in rows[3]], rows[3]]),
+        "times-e1": with_rows(matrix, [[e1 * x for x in rows[0]]] + list(rows[1:])),
     }
 
 
-COPIES = ["intact", "perturbed", "swapped", "wrong-degree", "orbit"]
+COPIES = ["intact", "perturbed", "swapped", "wrong-degree", "orbit", "doubled", "singular",
+          "times-e1"]
+
+# The step each copy's proof fails at, as determinant-identity names it: the
+# column certificate (a), the row degrees (b), or the constant (d).
+PREDICTED = {
+    "intact": "constant=1 difference=0",
+    "perturbed": "unproven: column certificate fails",
+    "swapped": "unproven: column certificate fails",
+    "wrong-degree": "unproven: column certificate fails",
+    "orbit": "unproven: column certificate fails",
+    "doubled": "constant=2 difference=nonzero",
+    "singular": "constant=0 difference=nonzero",
+    "times-e1": "unproven: row degrees fail",
+}
 
 
-def identify_both(matrix, det, i, j):
-    """Reference verdict of equal-columns: identify u_j := u_i in ``det`` and
-    in both columns, reading no certificate."""
-    failures = []
-    if not det.identify_variables(i, j).is_zero:
-        failures.append("determinant nonzero after identification")
-    if ([entry.identify_variables(i, j) for entry in matrix.column(i)]
-            != [entry.identify_variables(i, j) for entry in matrix.column(j)]):
-        failures.append(f"columns {i} and {j} differ after identification")
-    witness = "; ".join(failures) or f"u{j}:=u{i} kills det, columns merge"
-    return CheckResult(f"equal-columns({i},{j})", not failures, witness)
+def checks_of(matrix):
+    return suite_on(matrix)[0]
+
+
+@pytest.mark.parametrize("name", COPIES)
+def test_each_copy_fails_at_the_predicted_step(name):
+    matrix = copies()[name]
+    checks, report = suite_on(matrix)
+    assert checks["determinant-identity"].witness == PREDICTED[name]
+    assert report.passed is (name == "intact")
+    proven = PREDICTED[name].startswith("constant=")
+    assert (report.extracted_constant is not None) is proven
+    assert checks["row-degrees"].passed is (name not in ("wrong-degree", "orbit", "times-e1"))
+    if proven:
+        # Where the proof holds, its constant is the expansion's: D = c*V.
+        assert det_cofactor(matrix) == vandermonde_product(4) * report.extracted_constant
 
 
 @pytest.mark.parametrize("name", COPIES)
 def test_equal_columns_give_the_identification_verdict_on_every_copy(name):
-    # With V as the determinant only the columns decide; a suite on each
-    # copy, below, pairs it with the copy's own expansion.
+    # Where the column certificate holds, equal-columns gives the verdict and
+    # witness of identifying the copy's own expansion and columns; where it
+    # fails, every pair fails and names it, whatever identification gives.
     n = 4
-    matrix, det = copies()[name], vandermonde_product(n)
+    matrix = copies()[name]
+    det = det_cofactor(matrix)
     permutes = _permutes_columns(matrix)
-    assert permutes is (name == "intact")
-    results = {(i, j): verify_equal_column_vanish(matrix, det, True, permutes, i, j)
+    assert permutes is (name in ("intact", "doubled", "singular", "times-e1"))
+    results = {(i, j): verify_equal_column_vanish(n, permutes, i, j)
                for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    assert results == {(i, j): identify_both(matrix, det, i, j) for i, j in results}
-    assert all(result.passed for result in results.values()) is (name == "intact")
+    references = {(i, j): identify_both(matrix, det, i, j) for i, j in results}
+    if permutes:
+        assert results == references
+    else:
+        assert {result.witness for result in results.values()} == {
+            "unproven: column certificate fails"}
+    assert all(result.passed for result in results.values()) is permutes
 
 
 @pytest.mark.parametrize("name", COPIES)
 def test_first_node_zero_block_reads_the_identity_verdict_on_every_copy(name):
-    # Where D = V, (d) holds, so skipping it leaves every verdict as it was.
-    n = 4
+    # Checks (a)-(c) read the matrix; (d) reads the constant.  Where the
+    # proof gives one, the check is the one that computes (d) from the
+    # expansion; where it does not, (d) fails and names the failed step.
     matrix = copies()[name]
-    det = vandermonde_product(n)
-    assert (verify_first_node_zero_block(matrix, det, True)
-            == verify_first_node_zero_block(matrix, det, False))
+    checks, report = suite_on(matrix)
+    result = checks["first-node-zero-block"]
+    reference = reference_first_node(matrix, det_cofactor(matrix))
+    if report.extracted_constant is not None:
+        assert result == reference
+    else:
+        assert not result.passed
+        assert result.witness.endswith("factorization " + PREDICTED[name])
+    assert result.passed is (name == "intact")
 
 
 @pytest.mark.parametrize("name", COPIES)
-def test_a_suite_on_a_copy_gives_the_verdicts_of_the_uncertified_checks(name, monkeypatch):
-    # The suite reads the certificates of the matrix it built and of its
-    # expansion; fed a copy, it gives the verdicts of the computations they
-    # replace.
-    n = 4
+def test_a_suite_on_a_copy_gives_the_verdicts_of_the_uncertified_checks(name):
+    # The reference checks expand the copy's determinant and identify, reading
+    # no certificate.  Where the proof holds, the suite gives their verdicts
+    # and witnesses; everywhere, a check that passes passes in the reference.
     matrix = copies()[name]
-    monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix", lambda size: matrix)
-    det = det_cofactor(matrix)
-    checks = {check.name: check for check in verify_suite(n).checks}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            assert checks[f"equal-columns({i},{j})"] == identify_both(matrix, det, i, j)
-    assert checks["first-node-zero-block"] == verify_first_node_zero_block(matrix, det, False)
-    assert checks["homogeneity"] == verify_homogeneity(n, det.total_degrees())
-    assert checks["determinant-identity"].passed is (name == "intact")
-    assert checks["homogeneity"].passed is (name not in ("wrong-degree", "orbit"))  # orbit: D = 0
+    checks, report = suite_on(matrix)
+    references = reference_checks(matrix)
+    for check_name, reference in references.items():
+        if checks[check_name].passed:
+            assert reference.passed, check_name
+        if report.extracted_constant is not None:
+            assert checks[check_name] == reference, check_name
+
+
+def test_a_failing_copy_exits_3_with_one_line(capsys, monkeypatch):
+    # The symbolic build at one size is replaced by a copy that fails; the run
+    # ends in exit 3, every report on stdout and one stderr line.  Size 10 is
+    # above the cofactor expansion's cap: no failure falls back to it.
+    build = cimatrix.verifier.symbolic_ci_matrix
+    for size, bad in ((4, copies()["perturbed"]), (10, None)):
+        if bad is None:
+            matrix = build(size)
+            bad = with_entry(matrix, 2, 3, matrix.entry(2, 3) + variables(size)[0])
+        monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix",
+                            lambda n, size=size, bad=bad: bad if n == size else build(n))
+        assert cimatrix.cli.main(["verify", "--max-n", str(size)]) == 3
+        out, err = capsys.readouterr()
+        assert f"[FAIL] n={size} determinant-identity unproven: column certificate fails" in out
+        assert err.startswith(f"verification failed at n={size}: determinant-identity, homogeneity, ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_first_node_zero_block_reads_the_identity_verdict_of_the_suite(n):
-    matrix, det, alternates, _ = symbolic(n)
-    identity, _ = verify_determinant_identity(n, det, alternates, det.total_degrees())
-    assert identity.passed
-    skipped = verify_first_node_zero_block(matrix, det, identity.passed)
-    assert skipped == verify_first_node_zero_block(matrix, det, False) and skipped.passed
+    matrix = symbolic_ci_matrix(n)
+    report = verify_suite(n)
+    checks = {check.name: check for check in report.checks}
+    assert checks["determinant-identity"].passed
+    result = verify_first_node_zero_block(matrix, True, report.extracted_constant)
+    assert result == checks["first-node-zero-block"] and result.passed
+    assert result == reference_first_node(matrix, det_cofactor(matrix))
 
 
 def test_determinant_identity_fails_on_a_zero_expansion():
-    n = 3
-    zero = MultiPoly.zero(n)
-    assert _alternates(n, zero) and adjacent_swaps_alternate(n, zero)
-    result, constant = verify_determinant_identity(n, zero, _alternates(n, zero),
-                                                   zero.total_degrees())
+    matrix = copies()["singular"]
+    assert det_cofactor(matrix).is_zero
+    checks, report = suite_on(matrix)
+    assert report.extracted_constant == 0
+    result = verify_determinant_identity(True, report.extracted_constant)
+    assert result == checks["determinant-identity"]
     assert result.passed is False
-    assert result.witness == "determinant expanded to 0"
-    assert constant is None
+    assert result.witness == "constant=0 difference=nonzero"
+    assert checks["homogeneity"].witness == "degree set [] expected [6]"
 
 
-def expand_and_compare(n, det):
-    """Reference verdict: expand V, compare the term maps, and take the
-    ratio of leading coefficients as the constant."""
-    product = vandermonde_product(n)
-    constant = det.leading_term()[1] / product.leading_term()[1]
-    return det == product and constant == 1, constant
+def elementary(n):
+    return elem_sym_all(variables(n))
 
 
-def adjacent_swaps_alternate(n, det):
-    """The certificate as every adjacent swap u_k <-> u_(k+1), k < n, negating
-    ``det``: the reference for ``_alternates``."""
-    return all(det.swap_variables(k, k + 1) == -det for k in range(1, n))
-
-
-def assert_identity_matches_the_expansion(n, det):
-    # The certificate is the fed determinant's own, read in its own arity, and
-    # gives the adjacent swaps' verdict.
-    certificate = _alternates(det.nvars, det)
-    assert certificate == adjacent_swaps_alternate(det.nvars, det)
-    result, constant = verify_determinant_identity(n, det, certificate, det.total_degrees())
-    passed, expected = expand_and_compare(n, det)
-    assert (result.passed, constant) == (passed, expected)
-    assert result.witness == (f"constant={rational_to_string(expected)} "
-                              f"difference={'0' if passed else 'nonzero'}")
-    return passed
-
-
-def monomial(n, exponents, coefficient=1):
-    return MultiPoly(n, {tuple(exponents): coefficient})
-
-
-def fed_determinants(n):
-    """V, its multiples and sign changes, V off by a monomial or a factor,
-    V with one term's sign flipped, and determinants of another arity."""
-    v = vandermonde_product(n)
-    degree = n * (n - 1) // 2
-    yield v
+def fed_matrices(n):
+    """The size-n CI-matrix and copies that keep steps (a) and (b): a row
+    scaled by a constant, a row plus a symmetric multiple of a lower row of
+    the right degree (which keeps D), and a row replaced by such a multiple
+    (which makes D = 0)."""
+    matrix = symbolic_ci_matrix(n)
+    rows = [list(row) for row in matrix.entries]
+    e = elementary(n)
+    yield matrix
     for c in (2, -1, Fraction(-1, 3)):
-        yield v * c
-    if n >= 2:
-        yield v.swap_variables(1, 2)  # -V
-    for exponents in ([degree] + [0] * (n - 1), list(range(n)), list(range(n))[::-1], [0] * n):
-        for sign in (1, -1):
-            yield v + monomial(n, exponents, sign)
-    yield v * sum(variables(n), MultiPoly.zero(n))  # V * e1
-    for key, coefficient in v.terms.items():
-        yield v - monomial(n, key, 2 * coefficient)
-    yield vandermonde_product(n + 1)
-    yield MultiPoly(n + 1, {key + (0,): c for key, c in v.terms.items()})
-    if n >= 2:
-        yield vandermonde_product(n - 1)
+        yield with_rows(matrix, [[x * c for x in rows[0]]] + rows[1:])
+    for h, lower in combinations(range(n), 2):
+        multiple = [e[lower - h] * x for x in rows[lower]]
+        yield with_rows(matrix, rows[:h] + [[x + y for x, y in zip(rows[h], multiple)]]
+                        + rows[h + 1:])
+        yield with_rows(matrix, rows[:h] + [multiple] + rows[h + 1:])
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_determinant_identity_matches_the_expansion_on_fed_determinants(n):
-    # A zero expansion (V - 1 at n=1) returns early, before any comparison.
-    verdicts = [assert_identity_matches_the_expansion(n, det)
-                for det in fed_determinants(n) if not det.is_zero]
-    assert verdicts.count(True) == 1  # V itself
+    # On copies that keep the proof's first two steps, the verdict and the
+    # constant are the expansion's: D = c*V with c = D/V, and D = V only where
+    # c = 1.
+    verdicts = []
+    for matrix in fed_matrices(n):
+        checks, report = suite_on(matrix)
+        det = det_cofactor(matrix)
+        assert report.extracted_constant == multiple_of_v(n, det) is not None
+        identity = checks["determinant-identity"]
+        assert identity == reference_checks(matrix)["determinant-identity"]
+        verdicts.append(identity.passed)
+    assert verdicts.count(True) == 1 + n * (n - 1) // 2  # intact, and each row plus a multiple
 
 
-def antisymmetrized(det):
-    """The sum over S_n of sign(sigma) * det with its variables permuted."""
-    n = det.nvars
-    total = MultiPoly.zero(n)
-    for perm in permutations(range(n)):
-        sign = (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-        total = total + MultiPoly(n, {tuple(key[i] for i in perm): sign * c
-                                      for key, c in det.terms.items()})
-    return total
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_point_constant_is_the_expansion_over_v(n):
+    matrix = symbolic_ci_matrix(n)
+    det, v = det_cofactor(matrix), vandermonde_product(n)
+    constant = verify_suite(n).extracted_constant
+    assert det == v * constant and constant == 1
 
 
 @st.composite
 def fed_term_maps(draw):
-    """Random term maps in 1..5 variables with exponents below n, some made
-    alternating, some shifted by a multiple of V."""
-    n = draw(st.integers(1, 5))
-    det = MultiPoly(n, draw(st.dictionaries(
-        st.tuples(*[st.integers(0, n - 1)] * n),
-        st.fractions(-3, 3, max_denominator=3),
-        max_size=6,
-    )))
+    """A size-1..4 CI-matrix with rows scaled, symmetric multiples of lower
+    rows added, and, in some draws, a random term map added to one entry."""
+    n = draw(st.integers(1, 4))
+    rows = [list(row) for row in symbolic_ci_matrix(n).entries]
+    e = elementary(n)
+    scalars = st.sampled_from([1, 1, 2, -1, Fraction(1, 3), 0])
+    for h in range(n):
+        c = draw(scalars)
+        rows[h] = [x * c for x in rows[h]]
+        for lower in range(h + 1, n):
+            c = draw(scalars)
+            rows[h] = [x + e[lower - h] * y * c for x, y in zip(rows[h], rows[lower])]
     if draw(st.booleans()):
-        det = antisymmetrized(det)
-    det = det + vandermonde_product(n) * draw(st.sampled_from([0, 1, -1, 2]))
-    assume(not det.is_zero)
-    return n, det
+        h, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[h][k] = rows[h][k] + MultiPoly(n, draw(st.dictionaries(
+            st.tuples(*[st.integers(0, n - 1)] * n),
+            st.fractions(-3, 3, max_denominator=3),
+            max_size=3,
+        )))
+    return with_rows(symbolic_ci_matrix(n), rows)
 
 
 @given(fed_term_maps())
-@example((3, vandermonde_product(3)))
-@example((4, MultiPoly(4, {(0, 1, 2, 3): 1})))  # V's leading term alone
-def test_determinant_identity_matches_the_expansion_on_random_term_maps(case):
-    assert_identity_matches_the_expansion(*case)
+@example(copies()["times-e1"])
+@example(copies()["swapped"])
+def test_determinant_identity_matches_the_expansion_on_random_term_maps(matrix):
+    # Every pass is a pass of the reference checks, and where the proof gives a
+    # constant, D = c*V and every check is the reference's.
+    checks, report = suite_on(matrix)
+    references = reference_checks(matrix)
+    for name, reference in references.items():
+        assert reference.passed or not checks[name].passed, name
+    if report.extracted_constant is not None:
+        assert det_cofactor(matrix) == vandermonde_product(matrix.n) * report.extracted_constant
+        assert all(checks[name] == reference for name, reference in references.items())
 
 
-def test_alternates_refuses_another_arity():
-    for n, det in [(2, vandermonde_product(3)), (3, vandermonde_product(2)),
-                   (0, MultiPoly.one(1)), (1, MultiPoly.zero(0))]:
-        with pytest.raises(ValueError, match="variables"):
-            _alternates(n, det)
+def adjacent_swaps_alternate(n, det):
+    """Every adjacent swap u_k <-> u_(k+1), k < n, negates ``det``."""
+    return all(det.swap_variables(k, k + 1) == -det for k in range(1, n))
+
+
+def adjacent_swaps_permute_columns(matrix):
+    """Every adjacent swap (k k+1) maps column k onto column k+1 and fixes the
+    other columns: the reference for the column certificate."""
+    n = matrix.n
+    return all(
+        row[k - 1].swap_variables(k, k + 1) == row[k]
+        and all(entry.swap_variables(k, k + 1) == entry
+                for c, entry in enumerate(row, 1) if c not in (k, k + 1))
+        for row in matrix.entries for k in range(1, n))
 
 
 def test_each_generator_alone_lets_a_counterexample_through():
-    u1, u2, u3 = variables(3)
-    swap_only = u2 - u1  # negated by u1 <-> u2, sent to u3 - u2 by the cycle
-    cycle_only = u1 * u1 * u2 + u2 * u2 * u3 + u3 * u3 * u1  # kept by the cycle
-    assert swap_only.swap_variables(1, 2) == -swap_only
-    assert swap_only.cycle_variables() != swap_only
-    assert cycle_only.cycle_variables() == cycle_only
-    assert cycle_only.swap_variables(1, 2) != -cycle_only
-    for det in (swap_only, cycle_only):
-        assert _alternates(3, det) is adjacent_swaps_alternate(3, det) is False
+    # Columns 1 and 2 exchanged pass the swap but not the cycle; the columns
+    # rotated by one pass the cycle but not the swap.  Only both generators
+    # give the adjacent swaps' verdict.
+    matrix = symbolic_ci_matrix(3)
+    rows = matrix.entries
+    swap_only = with_rows(matrix, [(row[1], row[0], row[2]) for row in rows])
+    cycle_only = with_rows(matrix, [(row[1], row[2], row[0]) for row in rows])
+    for copy in (swap_only, cycle_only):
+        cycle_holds = all(row[k].cycle_variables() == row[(k + 1) % 3]
+                          for row in copy.entries for k in range(3))
+        swap_holds = all(row[0].swap_variables(1, 2) == row[1]
+                         and row[2].swap_variables(1, 2) == row[2] for row in copy.entries)
+        assert (swap_holds, cycle_holds) == ((True, False) if copy is swap_only else (False, True))
+        assert _permutes_columns(copy) is adjacent_swaps_permute_columns(copy) is False
+    assert _permutes_columns(matrix) is adjacent_swaps_permute_columns(matrix) is True
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_the_cycle_negates_an_alternating_determinant_of_even_size(n):
     det = vandermonde_product(n) * Fraction(-2, 3)
     assert det.cycle_variables() == -det
-    assert _alternates(n, det) and adjacent_swaps_alternate(n, det)
+    assert adjacent_swaps_alternate(n, det)
 
 
 def test_a_cold_suite_never_expands_the_vandermonde_product(monkeypatch):
@@ -499,9 +579,8 @@ def test_a_cold_suite_never_expands_the_vandermonde_product(monkeypatch):
 
 
 def test_first_node_zero_block_needs_size_two():
-    matrix, det, _, _ = symbolic(1)
     with pytest.raises(ValueError):
-        verify_first_node_zero_block(matrix, det, True)
+        verify_first_node_zero_block(symbolic_ci_matrix(1), True, Fraction(1))
 
 
 def test_duality_probe():
