@@ -140,11 +140,10 @@ class BenchRecord:
 
 
 def logdet_digest(sign: int, logabs: float) -> str:
-    """Short stable digest of a determinant in (sign, log|det|) form.
-
-    The log-magnitude is quantized to 1e-8 before hashing so the digests of
-    two methods match whenever they agree to that precision.
-    """
+    """Short stable digest of a determinant in (sign, log|det|) form, with
+    the log-magnitude quantized to 1e-8 before hashing.  Two values that
+    agree may straddle a quantization step, so ``run_bench`` decides
+    agreement on the values, not on the digests."""
     if sign == 0:
         payload = "0"
     else:
@@ -180,7 +179,8 @@ def run_bench(
     The determinants are evaluated in (sign, log-magnitude) form: products
     over thousands of node gaps overflow a double long before n reaches
     benchmark sizes.  Matrix construction happens outside both timers.
-    Returns the records plus any digest mismatches (a mismatch is a bug).
+    Returns the records plus any mismatches: the two agree when they have
+    the same sign and log|det| within 1e-8.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -193,11 +193,9 @@ def run_bench(
         closed_time = _median_time(lambda: closed_form_logdet(nodes), repeats)
         lu = lu_logdet(matrix)
         lu_time = _median_time(lambda: lu_logdet(matrix), repeats)
-        closed_digest = logdet_digest(*closed)
-        lu_digest = logdet_digest(*lu)
-        records.append(BenchRecord(n, "closed_form", closed_time, repeats, closed_digest))
-        records.append(BenchRecord(n, "lu", lu_time, repeats, lu_digest))
-        if closed_digest != lu_digest:
+        records.append(BenchRecord(n, "closed_form", closed_time, repeats, logdet_digest(*closed)))
+        records.append(BenchRecord(n, "lu", lu_time, repeats, logdet_digest(*lu)))
+        if closed[0] != lu[0] or (closed[0] and abs(closed[1] - lu[1]) > 1e-8):
             mismatches.append(
                 f"n={n}: closed_form {closed} vs lu {lu} disagree beyond digest tolerance"
             )

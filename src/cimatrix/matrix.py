@@ -7,10 +7,10 @@ row is all ones.  Its determinant equals the pairwise-difference product
 prod_{i<j} (xj - xi), which ``det_closed_form`` evaluates in O(n^2)
 without forming the matrix.
 
-``_rational_parts`` is the one rule that picks a kernel: it reads int,
-Fraction and finite float nodes as x_i = p_i / q_i (a float is a dyadic
-rational) and names the result type.  ``build_ci_matrix`` reverses the
-rows of one leave-one-out table: exact nodes deflate (on ints for p/q
+``_rational_parts`` picks a kernel by ``scalars.scalar_kind``, the one
+scalar rule: it reads number nodes as x_i = p_i / q_i (a float is a
+dyadic rational) and names the result type.  ``build_ci_matrix`` reverses
+the rows of one leave-one-out table: exact nodes deflate (on ints for p/q
 nodes), and float nodes keep the numpy table as a read-only float64
 array, with no per-entry Python objects.  ``det_closed_form`` multiplies
 the int gaps of every number node list, and rounds once on float nodes;
@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .multipoly import variables
-from .scalars import difference_product, exact_div, ring_identities, sum_of_products
+from .scalars import difference_product, exact_div, ring_identities, scalar_kind, sum_of_products
 from .symfunc import elem_sym_leave_one_out, leave_one_out_table_float
 
 # Largest ``symbolic_ci_matrix`` size: row h has C(n-1, n-h) terms per entry,
@@ -93,20 +93,14 @@ class CIMatrix:
 
 
 def _rational_parts(nodes: Sequence) -> tuple[tuple[int, ...], tuple[int, ...], type] | None:
-    """Numerators p_i and denominators q_i of int, Fraction and float nodes
-    x_i = p_i / q_i (``as_integer_ratio``: a finite float is a dyadic
-    rational), and the type of the result: float if any node is a float,
-    else Fraction if any node is one, else int.  This is the one rule that
-    picks a kernel.  None for any other node list (polynomials, or a bool
-    among the nodes); a non-finite float node raises ValueError."""
-    kind = int
-    for x in nodes:
-        if isinstance(x, float):
-            kind = float
-        elif isinstance(x, Fraction):
-            kind = kind if kind is float else Fraction
-        elif not isinstance(x, int) or isinstance(x, bool):
-            return None
+    """Numerators p_i and denominators q_i of number nodes x_i = p_i / q_i
+    (``as_integer_ratio``: a finite float is a dyadic rational), and the
+    result type ``scalars.scalar_kind`` names, which picks the kernel.  None
+    for a list that holds a polynomial; a non-finite float node raises
+    ValueError, and a node that is no scalar, wherever it stands, TypeError."""
+    kind = scalar_kind(nodes)
+    if kind is None:
+        return None
     try:
         ratios = [x.as_integer_ratio() for x in nodes]
     except (OverflowError, ValueError):
@@ -239,15 +233,12 @@ def det_bareiss(matrix):
     """
     rows = _rows(matrix)
     n = len(rows)
-    has_fraction = False
+    kind = scalar_kind([x for row in rows for x in row])
+    if kind not in (int, Fraction):
+        raise TypeError("Bareiss needs int or Fraction entries")
     scale = 1
     cleared = []
     for row in rows:
-        for x in row:
-            if isinstance(x, Fraction):
-                has_fraction = True
-            elif not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"Bareiss needs int or Fraction entries, got {type(x).__name__}")
         lcm = math.lcm(*(x.denominator for x in row))
         scale *= lcm
         cleared.append([x.numerator * (lcm // x.denominator) for x in row])
@@ -258,7 +249,7 @@ def det_bareiss(matrix):
     for k in range(n - 1):
         pivot_row = next((r for r in range(k, n) if m[r][0] != 0), None)
         if pivot_row is None:
-            return Fraction(0) if has_fraction else 0
+            return kind(0)
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             num = -num
@@ -272,7 +263,7 @@ def det_bareiss(matrix):
                 row = [a * x - b * y for x, y in zip(row, top)]
                 c = math.gcd(*row)
                 if c == 0:
-                    return Fraction(0) if has_fraction else 0
+                    return kind(0)
                 if c != 1:
                     row = [exact_div(x, c) for x in row]
                 num *= c
@@ -281,7 +272,7 @@ def det_bareiss(matrix):
         t = math.gcd(num, den)  # else dense input piles up the contents and the a's
         num, den = exact_div(num, t), exact_div(den, t)
     num *= m[n - 1][0]
-    return Fraction(num, den) if has_fraction else exact_div(num, den)
+    return Fraction(num, den) if kind is Fraction else exact_div(num, den)
 
 
 def det_lu(matrix) -> float:
@@ -410,6 +401,7 @@ def det_cofactor(matrix):
     n = len(m)
     if n > COFACTOR_CAP:
         raise SizeCapError(f"cofactor expansion capped at size {COFACTOR_CAP}, got {n}")
+    scalar_kind([x for row in m for x in row])  # refuses an entry that is no scalar
     zero, one = ring_identities(m[0][0])
     t = (n - 1) // 2
     top, bottom = _subset_minors(m[:t], n, zero, one), _subset_minors(m[t:], n, zero, one)

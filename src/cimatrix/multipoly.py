@@ -20,12 +20,12 @@ symbolic determinant multiply as machine ints.
 
 That canonical form is enforced in two places.  Input from outside the
 program -- ``MultiPoly(nvars, terms)``, ``constant`` and ``variable`` --
-goes through the validating constructor, which checks arity and that every
-exponent is an int in [0, EXPONENT_LIMIT), and converts every coefficient
-through Fraction.  Arithmetic results are finished by
-``_canonical_terms``, the one place where the guard bits are checked, zero
-sums dropped and integral coefficients stored as int, and wrapped without
-the outside-input checks by ``MultiPoly._canonical``.
+goes through the validating constructor, which checks arity, that every
+exponent is an int in [0, EXPONENT_LIMIT), and, by ``scalars.scalar_kind``,
+that every coefficient is an int or a Fraction.  Arithmetic results are
+finished by ``_canonical_terms``, the one place where the guard bits are
+checked, zero sums dropped and integral coefficients stored as int, and
+wrapped without the outside-input checks by ``MultiPoly._canonical``.
 
 Like terms are added in three loops.  ``_sum_products`` is the one product
 kernel: it adds every product a_k * b_k of a list of pairs into one map of
@@ -56,7 +56,7 @@ from itertools import repeat
 from operator import add, mul, neg, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalars import difference_product, rational_to_string
+from .scalars import difference_product, rational_to_string, scalar_kind
 
 Monomial = tuple  # exponent vector, one slot per variable
 
@@ -112,9 +112,10 @@ class MultiPoly:
         if nvars < 0:
             raise ValueError("variable count must be non-negative")
         self.nvars = nvars
-        packed = {
-            self._pack(monomial): Fraction(coeff) for monomial, coeff in (terms or {}).items()
-        }
+        terms = terms or {}
+        if scalar_kind(terms.values()) not in (int, Fraction):
+            raise TypeError("polynomial coefficients must be int or Fraction")
+        packed = {self._pack(monomial): coeff for monomial, coeff in terms.items()}
         self._terms = _canonical_terms(nvars, packed)
         self._table = None
 
@@ -185,7 +186,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(nvars: int, value) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: Fraction(value)})
+        return MultiPoly(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "MultiPoly":
@@ -194,7 +195,7 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
         exponents = [0] * nvars
         exponents[index - 1] = 1
-        return MultiPoly(nvars, {tuple(exponents): Fraction(1)})
+        return MultiPoly(nvars, {tuple(exponents): 1})
 
     # Ring-contract hooks used by the generic kernels.
     def ring_identities(self) -> tuple["MultiPoly", "MultiPoly"]:
@@ -230,11 +231,10 @@ class MultiPoly:
                     f"variable count mismatch: {self.nvars} vs {other.nvars}"
                 )
             return other
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, Fraction)):
+        try:
             return MultiPoly.constant(self.nvars, other)
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -282,9 +282,8 @@ class MultiPoly:
         simply no longer occurs.
         """
         self._check_indices(index)
-        value = Fraction(value)
-        if value.denominator == 1:
-            value = value.numerator
+        if scalar_kind((value,)) not in (int, Fraction):
+            raise TypeError("a substituted value must be an int or a Fraction")
         column = self._exponents()[index - 1 :: self.nvars]
         powers = {e: value**e for e in set(column)}
         shift = _shift(self.nvars, index - 1)
@@ -346,7 +345,7 @@ class MultiPoly:
             raise ValueError(
                 f"point length {len(point)} does not match variable count {self.nvars}"
             )
-        total = Fraction(0)
+        total = 0
         for coeff, row in zip(self._terms.values(), self._rows()):
             term = coeff
             for value, e in zip(point, row):

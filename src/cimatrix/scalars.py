@@ -14,10 +14,10 @@ concrete scalar families are supported out of the box:
   which plugs into the helpers below through its ``ring_identities`` and
   ``ring_sum_of_products`` hooks.
 
-The helpers here (``ring_identities``, ``sum_of_products`` and
-``difference_product``) are the whole ring contract: the generic kernels
-never inspect concrete types beyond them.  ``exact_div`` is the checked int
-division of the exact kernels.
+``scalar_kind`` is the one rule of what is a scalar.  It and the helpers
+``ring_identities``, ``sum_of_products`` and ``difference_product`` are the
+whole ring contract: the generic kernels never inspect concrete types beyond
+them.  ``exact_div`` is the checked int division of the exact kernels.
 """
 
 from __future__ import annotations
@@ -150,18 +150,29 @@ def float_to_string(value: float) -> str:
     return repr(value)
 
 
+def scalar_kind(values) -> type | None:
+    """Each value must be an int (not a bool), a Fraction, a float, or a
+    polynomial (it has the ``ring_identities`` hook); anything else, wherever
+    it stands, is a TypeError.  The result type of a number list: float if any
+    value is a float, else Fraction if any is one, else int; None for a list
+    that holds a polynomial.  The hook is looked up only on non-numbers."""
+    kind, polynomial = int, False
+    for x in values:
+        if isinstance(x, float):
+            kind = float
+        elif isinstance(x, Fraction):
+            kind = kind if kind is float else Fraction
+        elif not isinstance(x, int) or isinstance(x, bool):
+            if isinstance(x, bool) or not hasattr(x, "ring_identities"):
+                raise TypeError(f"unsupported scalar type {type(x).__name__}")
+            polynomial = True
+    return None if polynomial else kind
+
+
 def ring_identities(sample) -> tuple:
-    """(zero, one) of the ring of ``sample``, from its ``ring_identities``
-    hook or as int, float or Fraction; a bool or other type is a TypeError."""
-    hook = getattr(sample, "ring_identities", None)
-    if hook is not None:
-        return hook()
-    if isinstance(sample, bool):
-        raise TypeError("bool is not a ring scalar")
-    for kind in (int, float, Fraction):
-        if isinstance(sample, kind):
-            return kind(0), kind(1)
-    raise TypeError(f"unsupported scalar type {type(sample).__name__}")
+    """(zero, one) of ``sample``'s ring (``scalar_kind``), or its hook's."""
+    kind = scalar_kind((sample,))
+    return sample.ring_identities() if kind is None else (kind(0), kind(1))
 
 
 def sum_of_products(pairs, zero):

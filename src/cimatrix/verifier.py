@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import matrix as matrix_module
 from .matrix import (
     CIMatrix,
     build_ci_matrix,
-    det_bareiss,
     det_closed_form,
     symbolic_ci_matrix,
     vandermonde_duality_residual,
@@ -213,7 +213,7 @@ def verify_suite(n: int) -> VerificationReport:
     constant, point = None, list(range(1, n + 1))
     if permutes and rows.passed:  # step (d): c = D(1..n) / V(1..n)
         values = [[entry.evaluate(point) for entry in row] for row in matrix.entries]
-        constant = Fraction(det_bareiss(values)) / det_closed_form(point)
+        constant = Fraction(matrix_module.det_bareiss(values)) / det_closed_form(point)
     report = VerificationReport(n=n, extracted_constant=constant)
     report.checks += [verify_determinant_identity(permutes, constant),
                       verify_homogeneity(n, permutes, constant), rows]

@@ -101,6 +101,7 @@ SYMBOLIC_LAYERS = (
     "matrix.symbolic_ci_matrix",
     "matrix.build_ci_matrix",
     "matrix.det_closed_form",
+    "matrix.det_bareiss",
     "multipoly.MultiPoly.mul",
     "multipoly.MultiPoly.substitute",
     "verifier.determinant_identity",
@@ -123,11 +124,13 @@ def test_a_traced_verify_request_reaches_every_layer(capsys):
     capsys.readouterr()
     reached = {record[0] for record in tracer.spans}
     assert [layer for layer in SYMBOLIC_LAYERS if layer not in reached] == []
+    # The point constant's determinant is traced where the verifier calls it.
+    assert tracer.counts[0]["matrix.det_bareiss.result_bits"] > 0
     # The suite proves each size from the matrix: the n!-term expansion, and
     # the term count taken from it, are never reached.
     assert "matrix.det_cofactor" not in reached
     assert "multipoly.det_terms.n7" not in tracer.counts.get(0, {})
-    for restored in (cimatrix.cli.main, cimatrix.matrix.det_cofactor,
+    for restored in (cimatrix.cli.main, cimatrix.matrix.det_cofactor, cimatrix.matrix.det_bareiss,
                      cimatrix.verifier.det_closed_form,
                      cimatrix.multipoly.MultiPoly.identify_variables):
         assert not hasattr(restored, "__wrapped__")

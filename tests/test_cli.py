@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 import cimatrix.cli
 from cli_corpus import run
 from conftest import GOLDEN_N4_ENTRIES, pretty_layout, read_gen_json
-from cimatrix.cli import BENCH_CSV_HEADER, build_parser, draw_bench_nodes, main, run_bench
+from cimatrix.cli import (
+    BENCH_CSV_HEADER, build_parser, draw_bench_nodes, logdet_digest, main, run_bench,
+)
 from cimatrix.matrix import (
-    SYMBOLIC_CAP, build_ci_matrix, det_closed_form, det_lu, symbolic_ci_matrix,
+    SYMBOLIC_CAP, build_ci_matrix, closed_form_logdet, det_closed_form, det_lu, lu_logdet,
+    symbolic_ci_matrix,
 )
 from cimatrix.scalars import float_to_string, rational_from_string
 
@@ -470,6 +473,21 @@ def test_bench_usage_errors(capsys):
     assert run_cli(capsys, "bench", "--n-list", "4", "--out", "csv")[0] == 2
 
 
+def test_bench_decides_agreement_on_the_values_not_the_digests(capsys, monkeypatch):
+    # The LU value is the closed form's, moved 1e-12 across the nearest
+    # 1e-8 quantization step: the digests differ, the values agree.
+    sign, logabs = closed_form_logdet(draw_bench_nodes(8, 0))
+    step = round(logabs / 1e-8)
+    side = 1 if logabs / 1e-8 >= step else -1
+    moved = (step + side / 2) * 1e-8 + side * 1e-12
+    assert logdet_digest(sign, moved) != logdet_digest(sign, logabs)
+    monkeypatch.setattr(cimatrix.cli, "lu_logdet", lambda matrix: (sign, moved))
+    code, out, err = run_cli(capsys, "bench", "--n-list", "8", "--repeats", "1", "--seed", "0")
+    assert (code, err) == (0, "")
+    closed_row, lu_row = [line.split(",") for line in out.splitlines()[1:]]
+    assert closed_row[4] == logdet_digest(sign, logabs) and lu_row[4] == logdet_digest(sign, moved)
+
+
 def test_bench_keeps_the_mismatches_before_a_failed_build(capsys):
     # n=24 writes its rows with digests that differ; n=320 then fails to
     # build.  The one error line names the failure and the n=24 mismatch.
@@ -696,9 +714,9 @@ def _bench_refusal(sizes: list[str], repeats: int, seed: int) -> str | None:
 
 @given(st.lists(BENCH_SIZE_TEXTS, min_size=1, max_size=4), st.integers(0, 3),
        st.one_of(st.integers(-2, 9), st.integers(2**32, 2**70)))
-@example(["24", "16"], 1, 0)  # the LU digest diverges at both sizes
+@example(["24", "16"], 1, 0)  # the LU diverges at both sizes
 @example(["4", "320"], 1, 0)  # the float build overflows at n=320
-@example(["24", "320"], 1, 0)  # the LU digest diverges before the overflow
+@example(["24", "320"], 1, 0)  # the LU diverges before the overflow
 @example(["320", "1025"], 1, 0)
 @example(["", "x"], 0, -1)
 def test_bench_sizes_end_in_a_csv_or_one_error_line(sizes, repeats, seed):
@@ -725,7 +743,12 @@ def test_bench_sizes_end_in_a_csv_or_one_error_line(sizes, repeats, seed):
     rows = [line.split(",") for line in lines[1:]]
     assert [(int(r[0]), r[1], int(r[3])) for r in rows] == [
         (n, method, repeats) for n in done for method in ("closed_form", "lu")]
-    diverged = [int(a[0]) for a, b in zip(rows[::2], rows[1::2]) if a[4] != b[4]]
+    def agree(n):  # the oracle decides on the values: same sign, log|det| within 1e-8
+        nodes = draw_bench_nodes(n, seed)
+        (sign, logabs), (lu_sign, lu_logabs) = closed_form_logdet(nodes), lu_logdet(build(nodes))
+        return sign == lu_sign and (sign == 0 or abs(logabs - lu_logabs) <= 1e-8)
+
+    diverged = [n for n in done if not agree(n)]
     if done != n_list:
         # One line: the failed build, then each mismatch found before it.
         assert code == 3 and err.endswith("\n") and err.count("\n") == 1

@@ -227,10 +227,38 @@ DECIMALS = [Decimal(1), Decimal(2)]
     pytest.param(lambda: build_ci_matrix(DECIMALS), id="Decimal build"),
     pytest.param(lambda: det_closed_form(DECIMALS), id="Decimal closed form"),
     pytest.param(lambda: det_cofactor([DECIMALS, DECIMALS]), id="Decimal cofactor"),
+    # Wherever the value stands, not only first.
+    pytest.param(lambda: build_ci_matrix([2.0, True]), id="bool after a float"),
+    pytest.param(lambda: build_ci_matrix([2, True]), id="bool after an int"),
+    pytest.param(lambda: det_closed_form([2, True]), id="bool closed form, second"),
+    pytest.param(lambda: build_ci_matrix([1, Decimal(2)]), id="Decimal build, second"),
+    pytest.param(lambda: det_closed_form([1, Decimal(2)]), id="Decimal closed form, second"),
+    pytest.param(lambda: det_cofactor([[2, True], [1, 1]]), id="bool cofactor, second"),
+    pytest.param(lambda: det_cofactor([[1, 2], [Decimal(1), 1]]), id="Decimal cofactor, third"),
+    pytest.param(lambda: vandermonde_duality_residual([2, True]), id="bool duality, second"),
+    # Polynomial coefficients and substituted values from outside.
+    pytest.param(lambda: MultiPoly(1, {(1,): True}), id="bool coefficient"),
+    pytest.param(lambda: MultiPoly(2, {(1, 0): 1, (0, 1): "1/3"}), id="str coefficient"),
+    pytest.param(lambda: MultiPoly(1, {(1,): 0.1}), id="float coefficient"),
+    pytest.param(lambda: MultiPoly.constant(2, Decimal(1)), id="Decimal constant"),
+    pytest.param(lambda: variables(1)[0].substitute(1, "3"), id="str substituted"),
+    pytest.param(lambda: variables(1)[0].substitute(1, True), id="bool substituted"),
 ])
 def test_the_ring_contract_refuses_bools_and_unsupported_scalars(call):
     with pytest.raises(TypeError):
         call()
+
+
+NUMBERS = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9),
+                    st.floats(-9, 9, allow_nan=False))
+
+
+@given(st.lists(NUMBERS, max_size=6), st.sampled_from([True, False, Decimal(2)]), st.data())
+def test_a_bool_or_decimal_anywhere_in_a_number_list_is_refused(nodes, bad, data):
+    nodes.insert(data.draw(st.integers(0, len(nodes))), bad)
+    for kernel in (build_ci_matrix, det_closed_form):
+        with pytest.raises(TypeError):
+            kernel(nodes)
 
 
 def test_repeated_nodes_give_identical_columns():

@@ -129,6 +129,13 @@ def test_evaluate():
         U1.evaluate((1, 2))
 
 
+def test_evaluate_at_an_int_point_stays_int():
+    # The verifier's point matrix then takes Bareiss's int path.
+    for p in (vandermonde_product(3), MultiPoly.zero(3), U1 * U2 - 7):
+        assert type(p.evaluate((1, 2, 3))) is int
+    assert (U1 * Fraction(1, 2)).evaluate((1, 2, 3)) == Fraction(1, 2)
+
+
 def test_total_degrees():
     assert (U1 * U2 + U3 * U3).total_degrees() == {2}
     assert (U1 + U1 * U2).total_degrees() == {1, 2}

@@ -131,12 +131,12 @@ def test_suite_expands_each_size_once(n, monkeypatch):
     # the n^2 entries once by the cycle, and each outside column 2 once by
     # the swap (none at n=1): the swap is an involution.
     builds, expansions, evaluations, moves = [], [], [], []
-    build, bareiss = cimatrix.verifier.symbolic_ci_matrix, cimatrix.verifier.det_bareiss
+    build, bareiss = cimatrix.verifier.symbolic_ci_matrix, cimatrix.matrix.det_bareiss
     swap, cycle = MultiPoly.swap_variables, MultiPoly.cycle_variables
     monkeypatch.setattr(cimatrix.verifier, "symbolic_ci_matrix",
                         lambda size: builds.append(size) or build(size))
     monkeypatch.setattr(cimatrix.matrix, "det_cofactor", lambda matrix: expansions.append(matrix))
-    monkeypatch.setattr(cimatrix.verifier, "det_bareiss",
+    monkeypatch.setattr(cimatrix.matrix, "det_bareiss",
                         lambda rows: evaluations.append(rows) or bareiss(rows))
     monkeypatch.setattr(MultiPoly, "swap_variables",
                         lambda p, a, b: moves.append((a, b)) or swap(p, a, b))
