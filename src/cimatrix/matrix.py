@@ -10,9 +10,13 @@ without forming the matrix.
 ``_rational_parts`` picks a kernel by ``scalars.scalar_kind``, the one
 scalar rule: it reads number nodes as x_i = p_i / q_i (a float is a
 dyadic rational) and names the result type.  ``build_ci_matrix`` reverses
-the rows of one leave-one-out table: exact nodes deflate (on ints for p/q
-nodes), and float nodes keep the numpy table as a read-only float64
-array, with no per-entry Python objects.  ``det_closed_form`` multiplies
+the rows of one leave-one-out table: distinct variables, as in
+``symbolic_ci_matrix``, take the subset walk of
+``multipoly.leave_one_out_table_variables``, which does no arithmetic;
+other exact nodes deflate (on ints for p/q nodes), and float nodes keep
+the numpy table as a read-only float64 array, with no per-entry Python
+objects.  The numpy float entry points read their input through
+``symfunc.float_input``, which applies the same scalar rule.  ``det_closed_form`` multiplies
 the int gaps of every number node list, and rounds once on float nodes;
 polynomial nodes take ``scalars.difference_product``.  Float results
 that overflow on finite nodes raise ``NumericalError`` where they happen
@@ -47,12 +51,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .multipoly import variables
+from .multipoly import leave_one_out_table_variables, variables
 from .scalars import difference_product, exact_div, ring_identities, scalar_kind, sum_of_products
-from .symfunc import elem_sym_leave_one_out, leave_one_out_table_float
+from .symfunc import elem_sym_leave_one_out, float_input, leave_one_out_table_float
 
 # Largest ``symbolic_ci_matrix`` size: row h has C(n-1, n-h) terms per entry,
-# so the work grows about 5x per two added nodes; n=12 takes about 0.3 s.
+# n * 2^(n-1) in all, so the work grows about 5x per two added nodes; at n=12
+# the build takes about 6 ms and ``verify_suite`` about 0.06 s.
 SYMBOLIC_CAP = 12
 # Largest ``det_cofactor`` size: a dense polynomial determinant has n! terms; the
 # size-9 symbolic CI-matrix expands in about 1 s and 0.1 GB, and n=10 holds 10x.
@@ -113,8 +118,11 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     """Construct the CI-matrix of the given nodes.
 
     One kernel call gives the leave-one-out table T[m][k-1] = e_m(x without
-    k), and row h of the matrix is row n-h of the table.  Exact scalars
-    deflate one shared full table (O(n^2) ring operations); a node list
+    k), and row h of the matrix is row n-h of the table.  Distinct
+    variables of one ring file their squarefree monomials by a subset walk
+    (``leave_one_out_table_variables``); any other polynomial list and any
+    exact number list deflate one shared full table (O(n^2) ring
+    operations); a node list
     with any float node (``_rational_parts``) is a float list, which
     recomputes every column stably.  Rational nodes p_i / q_i deflate on
     ints: column k holds Q_k * e_m(x without k) with Q_k = prod_{i != k}
@@ -132,16 +140,17 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
             raise NumericalError("float CI-matrix build: an entry underflowed") from None
         if not np.all(np.isfinite(table)):
             raise NumericalError("float CI-matrix build: an entry is not finite")
-        nodes = [float(x) for x in nodes]
+        # Row h holds e_{n-h}: the table's rows, bottom to top.
+        return CIMatrix(n, tuple(map(float, nodes)), table[::-1])
+    if parts is None:
+        table = leave_one_out_table_variables(nodes) or elem_sym_leave_one_out(nodes)
     else:
-        numerators, denominators, kind = (nodes, None, None) if parts is None else parts
+        numerators, denominators, kind = parts
         table = elem_sym_leave_one_out(numerators, denominators)
         if kind is Fraction:
             # Row 0 holds Q_k: the bottom row comes out as 1.
             table = [[Fraction(b, q) for b, q in zip(row, table[0])] for row in table]
-        table = tuple(map(tuple, table))
-    # Row h holds e_{n-h}: the table's rows, bottom to top.
-    return CIMatrix(n, tuple(nodes), table[::-1])
+    return CIMatrix(n, tuple(nodes), tuple(map(tuple, table[::-1])))
 
 
 def symbolic_ci_matrix(n: int) -> CIMatrix:
@@ -296,11 +305,7 @@ def lu_logdet(matrix) -> tuple[int, float]:
     singular matrix gives (0, -inf), and an elimination that leaves the
     finite range on finite input raises ``NumericalError``.
     """
-    a = np.asarray(matrix.entries if isinstance(matrix, CIMatrix) else matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError("matrix is not square")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite matrix entry")
+    a = float_input(matrix.entries if isinstance(matrix, CIMatrix) else matrix, 2)
     # A non-finite result is reported once, as the error below, not as warnings.
     with np.errstate(all="ignore"):
         sign, logabs = np.linalg.slogdet(a)
@@ -325,11 +330,7 @@ def closed_form_logdet(nodes: Sequence[float]) -> tuple[int, float]:
     rows are formed ``_PAIR_BLOCK`` at a time, so no temporary but the
     differences themselves grows past ``_PAIR_BLOCK`` x n.
     """
-    x = np.asarray(nodes, dtype=float)
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise ValueError("node list must not be empty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite float node")
+    x = float_input(nodes, 1)
     n = x.shape[0]
     diffs = np.empty(n * (n - 1) // 2)
     columns = np.arange(n - 1)

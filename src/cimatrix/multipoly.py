@@ -37,6 +37,11 @@ product and per partial sum.  ``substitute``, ``identify_variables``,
 ``swap_variables`` and ``cycle_variables`` each move every term in one pass
 of their own; the identification guard-checks the terms that survive, since
 a merged exponent past the limit may cancel, and the two bijections none.
+``substitute`` of 0 moves no key at all: it keeps the terms whose field for
+that variable is clear.  ``leave_one_out_table_variables`` builds the
+symbolic CI-matrix's table without arithmetic: for distinct variables each
+e_m is a sum of distinct squarefree monomials, and a walk over the subset
+masks forms each key by one int addition.
 
 Queries read exponents from one table: all keys' fields, flat, in term-map
 order, decoded on first use by one ``struct`` unpack, so a cofactor minor or
@@ -276,25 +281,27 @@ class MultiPoly:
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, index: int, value) -> "MultiPoly":
-        """Replace u<index> (1-based) by a rational constant.
+        """Replace u<index> (1-based) by an int or Fraction constant.
 
         The ambient variable count is unchanged; the substituted variable
-        simply no longer occurs.
+        simply no longer occurs.  A zero value keeps the terms free of it.
         """
         self._check_indices(index)
         if scalar_kind((value,)) not in (int, Fraction):
             raise TypeError("a substituted value must be an int or a Fraction")
+        shift = _shift(self.nvars, index - 1)
+        if not value:
+            # u := 0 keeps the terms free of u, and their keys do not move.
+            field = ((1 << FIELD_BITS) - 1) << shift
+            return MultiPoly._wrap(self.nvars, {k: c for k, c in self._terms.items() if not k & field})
         column = self._exponents()[index - 1 :: self.nvars]
         powers = {e: value**e for e in set(column)}
-        shift = _shift(self.nvars, index - 1)
         sums: dict = {}
         get = sums.get
-        # A term whose factor is 0 adds nothing, and its key, with one field
-        # cleared, has no guard bit to check.
+        # No factor is 0, and a key with one field cleared has no guard bit to check.
         for key, coeff, e in zip(self._terms, self._terms.values(), column):
-            if factor := powers[e]:
-                key -= e << shift
-                sums[key] = get(key, 0) + coeff * factor
+            key -= e << shift
+            sums[key] = get(key, 0) + coeff * powers[e]
         return MultiPoly._canonical(self.nvars, sums)
 
     def identify_variables(self, keep: int, replace: int) -> "MultiPoly":
@@ -340,11 +347,13 @@ class MultiPoly:
                                    for k, c in self._terms.items()})
 
     def evaluate(self, point: Sequence):
-        """Exact value at ``point`` (one scalar per variable)."""
+        """Exact value at ``point``: one int or Fraction per variable."""
         if len(point) != self.nvars:
             raise ValueError(
                 f"point length {len(point)} does not match variable count {self.nvars}"
             )
+        if scalar_kind(point) not in (int, Fraction):
+            raise TypeError("an evaluation point must hold ints or Fractions")
         total = 0
         for coeff, row in zip(self._terms.values(), self._rows()):
             term = coeff
@@ -399,6 +408,49 @@ class MultiPoly:
 def variables(nvars: int) -> tuple[MultiPoly, ...]:
     """The symbolic nodes (u1, ..., un) as polynomials."""
     return tuple(MultiPoly.variable(nvars, i) for i in range(1, nvars + 1))
+
+
+def leave_one_out_table_variables(nodes: Sequence) -> list | None:
+    """Leave-one-out table of distinct variables of one ring, as
+    ``symfunc.elem_sym_leave_one_out`` lays it out: T[m][k-1] = e_m of the
+    nodes without node k.  None unless every node is a polynomial of one
+    term, coefficient 1 and a single exponent 1, no two alike.
+
+    e_m of such nodes is the sum of the squarefree monomials over the
+    m-subsets, each with coefficient 1, so no arithmetic is needed: a walk
+    over the subset masks (Knuth, TAOCP 4A, 7.2.1.3) forms each packed key
+    as the key of the mask without its low bit plus that node's key, and
+    files it under T[popcount][k] for every node k outside the mask.  The
+    keys are distinct and every exponent is 0 or 1, so no map needs
+    canonicalizing.
+    """
+    if not nodes or not all(isinstance(x, MultiPoly) for x in nodes):
+        return None
+    nvars = nodes[0].nvars
+    units = {1 << FIELD_BITS * slot for slot in range(nvars)}  # the keys of u1..un
+    keys = []
+    for x in nodes:
+        if x.nvars != nvars or len(x._terms) != 1:
+            return None
+        ((key, coeff),) = x._terms.items()
+        if coeff != 1 or key not in units:
+            return None
+        keys.append(key)
+    n = len(keys)
+    if len(set(keys)) != n:
+        return None
+    full = (1 << n) - 1
+    table = [[[] for _ in range(n)] for _ in range(n)]
+    packed = [0] * full
+    for mask in range(full):  # the full mask leaves no node outside
+        if mask:
+            low = mask & -mask
+            packed[mask] = packed[mask ^ low] + keys[low.bit_length() - 1]
+        key, row = packed[mask], table[mask.bit_count()]
+        for k in range(n):
+            if not mask >> k & 1:
+                row[k].append(key)
+    return [[MultiPoly._wrap(nvars, dict.fromkeys(column, 1)) for column in row] for row in table]
 
 
 def vandermonde_product(n: int) -> MultiPoly:

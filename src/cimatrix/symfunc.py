@@ -17,18 +17,26 @@ layout: T[m][k-1] = e_m of the nodes without node k.
   with exact, checked int divisions.  A node with q = 1 (every int,
   MultiPoly or ``denominators=None`` node) skips the multiply and the
   divide, which leaves the plain recurrences;
+* distinct variables u_i of one ring need no arithmetic at all: e_m of
+  them is the sum of the squarefree monomials over the m-subsets, so
+  ``multipoly.leave_one_out_table_variables`` files packed keys by one walk
+  over the subset masks; ``matrix.build_ci_matrix`` tries it first on a
+  polynomial list, and every other polynomial list deflates;
 * floats recompute on the reduced node set, because deflation subtracts
   nearly equal quantities.  ``leave_one_out_table_float`` does this for
-  every node at once with numpy and backs the float matrix builder.
+  every node at once with numpy and backs the float matrix builder.  Its
+  input, like that of the other numpy entry points, goes through
+  ``float_input``, the scalar rule of ``scalars.scalar_kind`` for arrays.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .scalars import exact_div, ring_identities
+from .scalars import exact_div, ring_identities, scalar_kind
 
 
 def elem_sym_all(nodes: Sequence, denominators: Sequence[int] | None = None) -> list:
@@ -81,12 +89,8 @@ def leave_one_out_table_float(nodes: Sequence[float]) -> np.ndarray:
     caller decides what a non-finite entry means.  A product that underflows
     (rounds to a subnormal or to 0) raises ``FloatingPointError``.
     """
-    x = np.asarray(nodes, dtype=float)
+    x = float_input(nodes, 1)
     n = x.shape[0]
-    if n == 0:
-        raise ValueError("node list must not be empty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite float node")
     table = np.zeros((n, n))
     table[0, :] = 1.0
     with np.errstate(over="ignore", invalid="ignore", under="raise"):
@@ -96,3 +100,28 @@ def leave_one_out_table_float(nodes: Sequence[float]) -> np.ndarray:
             table[1 : top + 1] += x[i] * table[:top]
             table[: top + 1, i] = skipped
     return table
+
+
+def float_input(values, ndim: int) -> np.ndarray:
+    """The input of a numpy float entry point as a float64 array: nodes
+    (``ndim`` 1) or a square matrix (``ndim`` 2).
+
+    numpy reads a bool as 0 or 1, and converts ``[True, 2.0]`` to float64,
+    so the array's dtype cannot tell: ``scalars.scalar_kind`` scans the
+    values of a Python sequence, where a bool or a ``Decimal`` raises
+    TypeError, as a polynomial does in the conversion.  An ndarray must hold
+    ints or floats; a bool or object array raises TypeError.  An empty or
+    misshapen input, or a non-finite value, raises ValueError.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind not in "iuf":
+        raise TypeError(f"unsupported array dtype {values.dtype}")
+    x = np.asarray(values, dtype=float)
+    if ndim == 1 and (x.ndim != 1 or x.shape[0] == 0):
+        raise ValueError("node list must not be empty")
+    if ndim == 2 and (x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0):
+        raise ValueError("matrix is not square")
+    if not isinstance(values, np.ndarray):  # numpy has refused a polynomial already
+        scalar_kind(values if ndim == 1 else chain.from_iterable(values))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite float node" if ndim == 1 else "non-finite matrix entry")
+    return x

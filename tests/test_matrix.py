@@ -37,6 +37,7 @@ from cimatrix.multipoly import (
     variables,
 )
 from cimatrix.scalars import ring_identities
+from cimatrix.symfunc import leave_one_out_table_float
 
 NODES_123 = [Fraction(1), Fraction(2), Fraction(3)]
 
@@ -76,19 +77,28 @@ def test_build_modes_agree_over_rationals():
         assert list(m.column(k)) == recomputed_leave_one_out(nodes, k)[::-1]
 
 
-@pytest.mark.parametrize("nodes", [
-    pytest.param([3, -1, 4, 1, 5], id="int"),
-    pytest.param([Fraction(1, 2), Fraction(-3, 7), 5, Fraction(22, 9)], id="rational"),
-    pytest.param(variables(4), id="symbolic"),
+U4 = variables(4)
+
+
+@pytest.mark.parametrize("nodes, expected", [
+    pytest.param([3, -1, 4, 1, 5], {"deflation": 1, "subsets": 0}, id="int"),
+    pytest.param([Fraction(1, 2), Fraction(-3, 7), 5, Fraction(22, 9)],
+                 {"deflation": 1, "subsets": 0}, id="rational"),
+    # Distinct variables take the subset walk alone ...
+    pytest.param(U4, {"deflation": 0, "subsets": 1}, id="symbolic"),
+    # ... and any other polynomial list falls back to the deflation.
+    pytest.param([U4[0] + U4[1], U4[2], U4[3]], {"deflation": 1, "subsets": 1}, id="polynomial"),
 ])
-def test_exact_build_calls_the_kernel_once(nodes, monkeypatch):
+def test_exact_build_calls_the_kernel_once(nodes, expected, monkeypatch):
     # One call returns the whole leave-one-out table, not one column.
-    calls = []
-    kernel = cimatrix.matrix.elem_sym_leave_one_out
-    monkeypatch.setattr(cimatrix.matrix, "elem_sym_leave_one_out",
-                        lambda *args, **kwargs: calls.append(args) or kernel(*args, **kwargs))
+    calls = {"deflation": 0, "subsets": 0}
+    for name, kernel in (("deflation", "elem_sym_leave_one_out"),
+                         ("subsets", "leave_one_out_table_variables")):
+        original = getattr(cimatrix.matrix, kernel)
+        monkeypatch.setattr(cimatrix.matrix, kernel, lambda *args, name=name, original=original:
+                            calls.__setitem__(name, calls[name] + 1) or original(*args))
     build_ci_matrix(nodes)
-    assert len(calls) == 1
+    assert calls == expected
 
 
 def test_build_float_path_matches_exact():
@@ -243,6 +253,18 @@ DECIMALS = [Decimal(1), Decimal(2)]
     pytest.param(lambda: MultiPoly.constant(2, Decimal(1)), id="Decimal constant"),
     pytest.param(lambda: variables(1)[0].substitute(1, "3"), id="str substituted"),
     pytest.param(lambda: variables(1)[0].substitute(1, True), id="bool substituted"),
+    pytest.param(lambda: (variables(2)[0] * variables(2)[1] + 3).evaluate([True, 2]),
+                 id="bool evaluated"),
+    pytest.param(lambda: (variables(2)[0] * variables(2)[1] + 3).evaluate([Decimal(2), 2]),
+                 id="Decimal evaluated"),
+    # The numpy float entry points, where numpy would read a bool as 0 or 1.
+    pytest.param(lambda: closed_form_logdet([True, 2.0]), id="bool float closed form"),
+    pytest.param(lambda: closed_form_logdet([2.0, Decimal(3)]), id="Decimal float closed form"),
+    pytest.param(lambda: lu_logdet([[1.0, 2.0], [True, 1.0]]), id="bool LU"),
+    pytest.param(lambda: det_lu([[1.0, Decimal(2)], [0.0, 1.0]]), id="Decimal LU"),
+    pytest.param(lambda: leave_one_out_table_float([1.0, False]), id="bool float table"),
+    pytest.param(lambda: closed_form_logdet(np.array([True, False])), id="bool array"),
+    pytest.param(lambda: lu_logdet(np.array([[1, 2], [3, 4]], dtype=object)), id="object array"),
 ])
 def test_the_ring_contract_refuses_bools_and_unsupported_scalars(call):
     with pytest.raises(TypeError):
@@ -256,7 +278,7 @@ NUMBERS = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9),
 @given(st.lists(NUMBERS, max_size=6), st.sampled_from([True, False, Decimal(2)]), st.data())
 def test_a_bool_or_decimal_anywhere_in_a_number_list_is_refused(nodes, bad, data):
     nodes.insert(data.draw(st.integers(0, len(nodes))), bad)
-    for kernel in (build_ci_matrix, det_closed_form):
+    for kernel in (build_ci_matrix, det_closed_form, closed_form_logdet, leave_one_out_table_float):
         with pytest.raises(TypeError):
             kernel(nodes)
 

@@ -1,18 +1,22 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cimatrix.matrix import build_ci_matrix
 from cimatrix.multipoly import (
     EXPONENT_LIMIT,
     FIELD_BITS,
     MultiPoly,
+    leave_one_out_table_variables,
     vandermonde_product,
     variables,
 )
+from cimatrix.symfunc import elem_sym_leave_one_out
 
 U1, U2, U3 = variables(3)
 
@@ -134,6 +138,14 @@ def test_evaluate_at_an_int_point_stays_int():
     for p in (vandermonde_product(3), MultiPoly.zero(3), U1 * U2 - 7):
         assert type(p.evaluate((1, 2, 3))) is int
     assert (U1 * Fraction(1, 2)).evaluate((1, 2, 3)) == Fraction(1, 2)
+
+
+def test_evaluate_admits_int_and_fraction_points_only():
+    p = U1 * U2 + 3
+    assert p.evaluate(range(1, 4)) == 5 and p.evaluate([Fraction(1, 2), 2, 0]) == 4
+    for point in ([True, 2, 1], [Decimal(2), 2, 1], [1, 2, 0.5], [1, 2, U3]):
+        with pytest.raises(TypeError):
+            p.evaluate(point)
 
 
 def test_total_degrees():
@@ -320,6 +332,19 @@ def naive_product(p: MultiPoly, q: MultiPoly) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
+@given(wide_polys, st.data())
+def test_substituting_zero_keeps_the_terms_free_of_the_variable(case, data):
+    n, terms = case
+    p = MultiPoly(n, terms)
+    index = data.draw(st.integers(1, n))
+    kept = {m: c for m, c in p.terms.items() if m[index - 1] == 0}
+    for zero in (0, Fraction(0)):
+        assert p.substitute(index, zero).terms == kept
+        assert p.substitute(index, zero) == MultiPoly(n, kept)
+    with pytest.raises(TypeError):
+        p.substitute(index, False)
+
+
 @given(wide_polys)
 def test_wide_polynomials_round_trip(case):
     n, terms = case
@@ -500,3 +525,65 @@ def test_constant_in_zero_variables():
     assert p.terms == {(): 5}
     assert p.render() == "5"
     assert MultiPoly(0).total_degrees() == set() and MultiPoly(0).terms == {}
+
+
+# ---------------------------------------------------------------------------
+# the subset kernel for distinct variables
+
+
+@st.composite
+def variable_lists(draw):
+    """(ring size, distinct variables of that ring in any order)."""
+    nvars = draw(st.integers(1, 9))
+    slots = draw(st.lists(st.integers(1, nvars), min_size=1, max_size=nvars, unique=True))
+    return nvars, [MultiPoly.variable(nvars, slot) for slot in slots]
+
+
+def generic_table(nodes) -> list:
+    """The deflation's table, each entry decoded term by term."""
+    return [[p.terms for p in row] for row in elem_sym_leave_one_out(nodes)]
+
+
+@given(variable_lists())
+@example((9, list(variables(9))))
+@example((9, list(variables(9)[1:])))  # the first-node check's tail u2..u9
+@example((1, list(variables(1))))
+def test_the_subset_kernel_matches_the_deflation(case):
+    nvars, nodes = case
+    table = leave_one_out_table_variables(nodes)
+    assert [[p.terms for p in row] for row in table] == generic_table(nodes)
+    assert all(p._terms == MultiPoly(nvars, p.terms)._terms for row in table for p in row)
+    assert build_ci_matrix(nodes).entries == tuple(map(tuple, table[::-1]))
+
+
+def spoil(nvars: int, nodes: list, position: int, how: str) -> list:
+    """``nodes`` with one node the kernel refuses: the node at ``position``
+    repeated, or a node of another ring added, at the end; else that node
+    replaced."""
+    u = nodes[position]
+    if how in ("repeated", "another ring"):
+        return nodes + [u if how == "repeated" else MultiPoly.variable(nvars + 1, 1)]
+    v = MultiPoly.variable(nvars, 1 if u != MultiPoly.variable(nvars, 1) else nvars)
+    replaced = {"doubled": 2 * u, "squared": u * u, "a sum": u + v,
+                "a constant": MultiPoly.constant(nvars, 3), "zero": MultiPoly.zero(nvars)}[how]
+    return nodes[:position] + [replaced] + nodes[position + 1:]
+
+
+SPOILERS = ["repeated", "doubled", "squared", "a sum", "a constant", "zero", "another ring"]
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@given(variable_lists(), st.sampled_from(SPOILERS), st.data())
+def test_other_polynomial_lists_fall_back_to_the_deflation(case, how, data):
+    nvars, nodes = case
+    nodes = spoil(nvars, nodes, data.draw(st.integers(0, len(nodes) - 1)), how)
+    assert leave_one_out_table_variables(nodes) is None
+    built = outcome(lambda: build_ci_matrix(nodes).entries)
+    assert built == outcome(lambda: tuple(map(tuple, elem_sym_leave_one_out(nodes)[::-1])))
