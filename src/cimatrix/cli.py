@@ -130,7 +130,7 @@ class MatrixDocument:
 @dataclass
 class BenchRecord:
     n: int
-    method: str  # "closed_form" | "lu" | "bareiss"
+    method: str  # "closed_form" | "lu"
     wall_time_s: float
     repeats: int
     result_digest: str

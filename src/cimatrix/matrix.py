@@ -22,7 +22,7 @@ polynomial nodes take ``scalars.difference_product``.  Float results
 that overflow on finite nodes raise ``NumericalError`` where they happen
 (the float build, the float ``det_closed_form``, ``lu_logdet`` and
 ``det_lu``), never return inf/nan; so does a float build in which a
-product underflows, instead of returning a flushed entry.
+product underflows in node order and again by decreasing |x|.
 
 Three independent determinant oracles witness that identity:
 
@@ -101,8 +101,10 @@ def _rational_parts(nodes: Sequence) -> tuple[tuple[int, ...], tuple[int, ...], 
     """Numerators p_i and denominators q_i of number nodes x_i = p_i / q_i
     (``as_integer_ratio``: a finite float is a dyadic rational), and the
     result type ``scalars.scalar_kind`` names, which picks the kernel.  None
-    for a list that holds a polynomial; a non-finite float node raises
-    ValueError, and a node that is no scalar, wherever it stands, TypeError."""
+    for a polynomial list; ValueError for an empty list or a non-finite float
+    node, and TypeError for a node that is no scalar, wherever it stands."""
+    if len(nodes) == 0:
+        raise ValueError("node list must not be empty")
     kind = scalar_kind(nodes)
     if kind is None:
         return None
@@ -122,22 +124,26 @@ def build_ci_matrix(nodes: Sequence) -> CIMatrix:
     variables of one ring file their squarefree monomials by a subset walk
     (``leave_one_out_table_variables``); any other polynomial list and any
     exact number list deflate one shared full table (O(n^2) ring
-    operations); a node list
-    with any float node (``_rational_parts``) is a float list, which
-    recomputes every column stably.  Rational nodes p_i / q_i deflate on
-    ints: column k holds Q_k * e_m(x without k) with Q_k = prod_{i != k}
-    q_i, and each entry becomes ``Fraction(b, Q_k)``.  All-int nodes give
-    int entries; any Fraction node gives Fraction entries.
+    operations); a node list with any float node (``_rational_parts``) is a
+    float list, which recomputes every column stably, once more by
+    decreasing |x| if a product underflows.  Rational nodes p_i / q_i
+    deflate on ints: column k holds Q_k * e_m(x without k) with Q_k =
+    prod_{i != k} q_i, and each entry becomes ``Fraction(b, Q_k)``.  All-int
+    nodes give int entries; any Fraction node gives Fraction entries.
     """
     n = len(nodes)
-    if n == 0:
-        raise ValueError("node list must not be empty")
     parts = _rational_parts(nodes)
     if parts is not None and parts[2] is float:
         try:
             table = leave_one_out_table_float(nodes)
         except FloatingPointError:
-            raise NumericalError("float CI-matrix build: an entry underflowed") from None
+            # Once more by decreasing |x|, then back in node order: no partial
+            # product of a monomial is then smaller than min(1, the monomial).
+            order = sorted(range(n), key=lambda k: abs(nodes[k]), reverse=True)
+            try:
+                table = leave_one_out_table_float([nodes[k] for k in order])[:, np.argsort(order)]
+            except FloatingPointError:
+                raise NumericalError("float CI-matrix build: an entry underflowed") from None
         if not np.all(np.isfinite(table)):
             raise NumericalError("float CI-matrix build: an entry is not finite")
         # Row h holds e_{n-h}: the table's rows, bottom to top.
@@ -176,8 +182,6 @@ def det_closed_form(nodes: Sequence):
     Polynomial nodes take ``scalars.difference_product``.
     """
     n = len(nodes)
-    if n == 0:
-        raise ValueError("node list must not be empty")
     parts = _rational_parts(nodes)
     if parts is None:
         return difference_product(nodes)
@@ -442,8 +446,6 @@ def vandermonde_duality_residual(nodes: Sequence) -> DualityResidual:
     diagonal is compared against the directly computed product.
     """
     n = len(nodes)
-    if n == 0:
-        raise ValueError("node list must not be empty")
     matrix = build_ci_matrix(nodes)
     zero, one = ring_identities(nodes[0])
     max_offdiag = abs(zero)

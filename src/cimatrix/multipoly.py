@@ -27,29 +27,30 @@ finished by ``_canonical_terms``, the one place where the guard bits are
 checked, zero sums dropped and integral coefficients stored as int, and
 wrapped without the outside-input checks by ``MultiPoly._canonical``.
 
-Like terms are added in three loops.  ``_sum_products`` is the one product
+Like terms are added in two loops.  ``_sum_products`` is the one product
 kernel: it adds every product a_k * b_k of a list of pairs into one map of
 raw sums, checked for guard bits over every key, cancelled ones included.
 ``*`` is its one-pair case, ``+`` feeds it products with 1, and
 ``ring_sum_of_products`` a whole cofactor minor, or the join of the row
 split, from ``matrix.det_cofactor``, normalized once instead of once per
-product and per partial sum.  ``substitute``, ``identify_variables``,
-``swap_variables`` and ``cycle_variables`` each move every term in one pass
-of their own; the identification guard-checks the terms that survive, since
-a merged exponent past the limit may cancel, and the two bijections none.
-``substitute`` of 0 moves no key at all: it keeps the terms whose field for
-that variable is clear.  ``leave_one_out_table_variables`` builds the
-symbolic CI-matrix's table without arithmetic: for distinct variables each
-e_m is a sum of distinct squarefree monomials, and a walk over the subset
-masks forms each key by one int addition.
+product and per partial sum.  ``MultiPoly._fold`` is the one variable fold,
+for ``substitute`` of a nonzero value and ``identify_variables``: it moves
+a variable's exponent e out of every key by e * move, multiplies the
+coefficient by value**e and sums like terms, guard-checking the terms that
+survive, since a merged exponent past the limit may cancel.  ``substitute``
+of 0 keeps the terms whose field for that variable is clear, and the
+bijections ``swap_variables`` and ``cycle_variables`` move every term in one
+pass and check none.  ``leave_one_out_table_variables`` builds the symbolic
+CI-matrix's table without arithmetic: for distinct variables each e_m is a
+sum of distinct squarefree monomials, and a walk over the subset masks
+forms each key by one int addition.
 
 Queries read exponents from one table: all keys' fields, flat, in term-map
 order, decoded on first use by one ``struct`` unpack, so a cofactor minor or
 a product never pays for it.  ``terms`` (exponent tuple -> nonzero Fraction)
-and the degree queries read its rows, ``substitute`` and the identification
-a column, the swap two.  Values are immutable by convention: no method
-changes a term map and every operation returns a fresh polynomial, so a
-table never goes stale.
+and the degree queries read its rows, the fold a column, the swap two.
+Values are immutable by convention: no method changes a term map and every
+operation returns a fresh polynomial, so a table never goes stale.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ def _guard_mask(nvars: int) -> int:
 
 
 _UNIT = {0: 1}  # the term map of the constant 1
+
+
+def _check_indices(nvars: int, *indices: int) -> None:
+    for index in indices:
+        if not 1 <= index <= nvars:
+            raise ValueError(f"variable index {index} out of range 1..{nvars}")
 
 
 def _sum_products(pairs: Iterable[tuple[dict, dict]]) -> dict:
@@ -155,11 +162,6 @@ class MultiPoly:
         poly._table = None
         return poly
 
-    def _check_indices(self, *indices: int) -> None:
-        for index in indices:
-            if not 1 <= index <= self.nvars:
-                raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
-
     def _exponents(self) -> tuple[int, ...]:
         """The exponent table (module docstring), u1's field first."""
         if self._table is None:
@@ -196,8 +198,7 @@ class MultiPoly:
     @staticmethod
     def variable(nvars: int, index: int) -> "MultiPoly":
         """The polynomial u<index>; index is 1-based."""
-        if not 1 <= index <= nvars:
-            raise ValueError(f"variable index {index} out of range 1..{nvars}")
+        _check_indices(nvars, index)
         exponents = [0] * nvars
         exponents[index - 1] = 1
         return MultiPoly(nvars, {tuple(exponents): 1})
@@ -284,9 +285,10 @@ class MultiPoly:
         """Replace u<index> (1-based) by an int or Fraction constant.
 
         The ambient variable count is unchanged; the substituted variable
-        simply no longer occurs.  A zero value keeps the terms free of it.
+        simply no longer occurs.  A zero value keeps the terms free of it;
+        any other value is folded in by ``_fold``.
         """
-        self._check_indices(index)
+        _check_indices(self.nvars, index)
         if scalar_kind((value,)) not in (int, Fraction):
             raise TypeError("a substituted value must be an int or a Fraction")
         shift = _shift(self.nvars, index - 1)
@@ -294,42 +296,38 @@ class MultiPoly:
             # u := 0 keeps the terms free of u, and their keys do not move.
             field = ((1 << FIELD_BITS) - 1) << shift
             return MultiPoly._wrap(self.nvars, {k: c for k, c in self._terms.items() if not k & field})
-        column = self._exponents()[index - 1 :: self.nvars]
-        powers = {e: value**e for e in set(column)}
-        sums: dict = {}
-        get = sums.get
-        # No factor is 0, and a key with one field cleared has no guard bit to check.
-        for key, coeff, e in zip(self._terms, self._terms.values(), column):
-            key -= e << shift
-            sums[key] = get(key, 0) + coeff * powers[e]
-        return MultiPoly._canonical(self.nvars, sums)
+        # Subtracting e << shift clears the field, which sets no guard bit.
+        return self._fold(index, -(1 << shift), value)
 
     def identify_variables(self, keep: int, replace: int) -> "MultiPoly":
-        """Substitute u<replace> := u<keep> (both 1-based), keeping the arity.
-
-        Exponents of the replaced variable are folded onto the kept one, so
-        the result lives in the same ambient ring.
-        """
-        self._check_indices(keep, replace)
+        """Substitute u<replace> := u<keep> (both 1-based), keeping the arity:
+        ``_fold`` moves each exponent of the replaced variable onto the kept one."""
+        _check_indices(self.nvars, keep, replace)
         if keep == replace:
             return self
-        column = self._exponents()[replace - 1 :: self.nvars]
-        # Adding e * move takes an exponent e from the replaced field to the kept one.
-        move = (1 << _shift(self.nvars, keep - 1)) - (1 << _shift(self.nvars, replace - 1))
-        deltas = {e: e * move for e in set(column)}
+        return self._fold(replace, (1 << _shift(self.nvars, keep - 1))
+                          - (1 << _shift(self.nvars, replace - 1)), 1)
+
+    def _fold(self, index: int, move: int, value) -> "MultiPoly":
+        """The variable fold (module docstring): each key whose u<index>
+        exponent is e moves by e * move, its coefficient is multiplied by
+        value**e, and like terms are summed.  Only the surviving terms meet
+        the guard check: a merged exponent past the limit may cancel, and
+        the result is then representable."""
+        column = self._exponents()[index - 1 :: self.nvars]
+        steps = {e: (e * move, value**e) for e in set(column)}
         sums: dict = {}
         get = sums.get
-        keys = map(add, self._terms, map(deltas.__getitem__, column))
-        for key, coeff in zip(keys, self._terms.values()):
-            sums[key] = get(key, 0) + coeff
-        # Only the surviving terms meet the guard check: a merged exponent
-        # past the limit may cancel, and the result is then representable.
+        for key, coeff, e in zip(self._terms, self._terms.values(), column):
+            delta, power = steps[e]
+            key += delta
+            sums[key] = get(key, 0) + coeff * power
         return MultiPoly._canonical(self.nvars, {m: c for m, c in sums.items() if c})
 
     def swap_variables(self, a: int, b: int) -> "MultiPoly":
         """Exchange u<a> and u<b> (both 1-based): adding (e_b - e_a) * move
         to a key writes e_b into field a and e_a into field b."""
-        self._check_indices(a, b)
+        _check_indices(self.nvars, a, b)
         if a == b:
             return self
         n, table = self.nvars, self._exponents()

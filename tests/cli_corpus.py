@@ -83,6 +83,9 @@ ARGVS += [
     ["gen", "--mu", "0.5,1.75,3.0", "--kind", "float64", "--out", "json"],
     ["gen", "--mu", "0.1,1/3,2.5", "--kind", "float64", "--out", "csv"],
     ["gen", "--mu", "1e200,2e200,3e200", "--kind", "float64"],
+    # every entry is a normal double, but node order forms the subnormal
+    # 1e-160 * 2e-160: the build retries by decreasing |x|
+    ["gen", "--mu=1e-160,2e-160,1e150,2e150", "--kind", "float64"],
     ["gen", "--mu", "1e400", "--kind", "float64"],
     ["gen", "--mu", "1e-400,0", "--kind", "float64", "--out", "json"],
     ["gen", "--mu", "1e-320,0", "--kind", "float64", "--out", "csv"],

@@ -288,8 +288,9 @@ def test_nonzero_float_node_that_rounds_to_zero_is_refused(capsys):
 
 
 def test_float_build_underflow_exits_3(capsys):
-    # Entry (1,1) is 2e-300; the build used to print it as 0 and exit 0.
-    # The closed form, 2e-300 exactly, is printed before the LU's build is
+    # Entry (2,4) is e_2(0, 1e-200, 2e-200) = 2e-400, below the double range
+    # in any node order; the build used to print (1,1), 2e-300, as 0 and exit
+    # 0.  The closed form, 2e-300 exactly, is printed before the LU's build is
     # refused.
     mu = "--mu=0,1e-200,2e-200,1e100"
     with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -139,18 +140,64 @@ def test_float_build_overflow_is_a_numerical_error():
         det_closed_form(nodes)
 
 
+# Relative error bound of a float entry on positive nodes: an entry takes at
+# most n-1 insertion steps of one multiply and one add, and positive terms
+# do not cancel, so each step adds at most two rounding errors of 2^-53.
+def positive_entry_bound(n: int) -> float:
+    return 2 * n * 2.0**-53
+
+
+def max_relative_entry_error(matrix, nodes) -> Fraction:
+    exact = build_ci_matrix([Fraction(x) for x in nodes])
+    return max(abs(Fraction(float(entry)) - exact_entry) / exact_entry
+               for row, exact_row in zip(matrix.entries, exact.entries)
+               for entry, exact_entry in zip(row, exact_row))
+
+
 def test_float_build_refuses_an_entry_that_underflows():
-    # Entry (1,1) is e_3(1e-200, 2e-200, 1e100) = 2e-300, representable, but
-    # its partial product 1e-200 * 2e-200 flushes to 0.  On the second list
-    # every entry is a normal float, yet (1,3) went through the subnormal
-    # 2e-320 and kept about 5 digits.
-    for nodes in ([0.0, 1e-200, 2e-200, 1e100], [1e-160, 2e-160, 1e150, 2e150]):
+    # Each list has an exact entry below the double range, whatever the order
+    # of the nodes: (2,4) is e_2(0, 1e-200, 2e-200) = 2e-400, and (1,4) is
+    # e_3(1e-200, 3e-200, 1) = 3e-400.
+    for nodes in ([0.0, 1e-200, 2e-200, 1e100], [1e-200, 3e-200, 1.0, 2.0]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="float CI-matrix build: an entry underflowed"):
                 build_ci_matrix(nodes)
+    # Every entry of this list is a normal double, but in node order (1,3)
+    # passes through the subnormal 1e-160 * 2e-160 = 2e-320.  The build
+    # retries by decreasing |x| and puts the columns back in node order.
+    nodes = [1e-160, 2e-160, 1e150, 2e150]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            leave_one_out_table_float(nodes)
+        matrix = build_ci_matrix(nodes)
+    assert matrix.nodes == tuple(nodes)
+    assert max_relative_entry_error(matrix, nodes) <= positive_entry_bound(4)
     # A product that is an exact subnormal loses nothing and is kept.
     assert build_ci_matrix([2.0 ** -537, 2.0 ** -537 * 3]).entries[0, 0] == 2.0 ** -537 * 3
+
+
+# Positive normal floats with decimal exponents across +-300.
+POSITIVE_NODES = st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+                           st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 300))
+
+
+@given(st.lists(POSITIVE_NODES, min_size=1, max_size=7))
+@example([1e-160, 2e-160, 1e150, 2e150])
+@example([1e-200, 3e-200, 1.0, 2.0])
+def test_float_build_of_positive_nodes_refuses_only_an_entry_out_of_range(nodes):
+    # By decreasing |x|, each partial product of a monomial is at least
+    # min(1, the monomial), so the retry underflows only where an exact entry
+    # does.  A build keeps every entry within the bound.
+    exact = build_ci_matrix([Fraction(x) for x in nodes]).entries
+    normal = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+    try:
+        matrix = build_ci_matrix(nodes)
+    except NumericalError:
+        assert any(not normal[0] <= entry <= normal[1] for row in exact for entry in row)
+    else:
+        assert max_relative_entry_error(matrix, nodes) <= positive_entry_bound(len(nodes))
 
 
 def test_float_determinants_refuse_non_finite_nodes_and_values():

@@ -387,6 +387,23 @@ def test_wide_identify_variables_matches_naive_fold(case, data):
         assert p.identify_variables(keep, replace).terms == expected
 
 
+nonzero_values = st.one_of(st.integers(-5, -1), st.integers(1, 5),
+                           st.fractions(-3, 3, max_denominator=9).filter(bool))
+
+
+@given(wide_polys, nonzero_values, st.data())
+def test_wide_substitute_matches_naive_fold(case, value, data):
+    # substitute(i, c), c != 0, shares its fold with the identification.
+    n, terms = case
+    index = data.draw(st.integers(1, n))
+    p = MultiPoly(n, terms)
+    expected = {}
+    for monomial, coeff in p.terms.items():
+        cleared = monomial[: index - 1] + (0,) + monomial[index:]
+        expected[cleared] = expected.get(cleared, Fraction(0)) + coeff * Fraction(value) ** monomial[index - 1]
+    assert p.substitute(index, value).terms == {m: c for m, c in expected.items() if c}
+
+
 swap_cases = st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.just(n),
     wide_terms(n),
